@@ -33,11 +33,24 @@ fn bench_map_build(c: &mut Criterion) {
     let mut group = c.benchmark_group("pipeline");
     group.throughput(Throughput::Elements(f.observations.len() as u64));
     group.sample_size(10);
-    group.bench_function("map_build_serial", |b| {
+    group.bench_function("map_build_reference", |b| {
         b.iter(|| builder.build(black_box(&f.observations)).len())
     });
+    group.bench_function("map_build_serial", |b| {
+        b.iter(|| {
+            builder
+                .build_sharded_stats(black_box(&f.observations), 1)
+                .0
+                .len()
+        })
+    });
     group.bench_function("map_build_parallel4", |b| {
-        b.iter(|| builder.build_parallel(black_box(&f.observations), 4).len())
+        b.iter(|| {
+            builder
+                .build_sharded_stats(black_box(&f.observations), 4)
+                .0
+                .len()
+        })
     });
     group.finish();
 }
@@ -54,7 +67,9 @@ fn bench_parallel_stages(c: &mut Criterion) {
         workers: 4,
         ..PipelineConfig::default()
     });
-    let (maps, patterns) = serial.maps_and_patterns(&f.observations);
+    let (maps, _) =
+        MapBuilder::new(f.world.config.window.clone()).build_sharded_stats(&f.observations, 1);
+    let patterns = serial.classify_maps(&maps);
     let shortlisted = shortlist(
         &maps,
         &patterns,
@@ -103,7 +118,7 @@ fn bench_parallel_stages(c: &mut Criterion) {
 fn bench_classify_and_shortlist(c: &mut Criterion) {
     let f = fixture();
     let builder = MapBuilder::new(f.world.config.window.clone());
-    let maps = builder.build(&f.observations);
+    let (maps, _) = builder.build_sharded_stats(&f.observations, 1);
     let cfg = ClassifyConfig::default();
     let mut group = c.benchmark_group("pipeline");
     group.throughput(Throughput::Elements(maps.len() as u64));

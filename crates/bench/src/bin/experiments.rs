@@ -11,8 +11,10 @@
 //! The extra id `bench` (not part of `all`) times the parallelizable
 //! pipeline stages serial-vs-parallel and writes the machine-readable
 //! result to `BENCH_pipeline.json` in the working directory; pass
-//! `--min-e2e-speedup X` to fail the process when the end-to-end
-//! speedup drops below `X` (the CI regression gate).
+//! `--min-algorithm-speedup X` to fail the process when the reference
+//! map build is less than `X` times slower than the arena engine, both
+//! at one worker (the CI regression gate). Same-engine parallel scaling
+//! is recorded but not gated.
 //!
 //! The extra id `matrix` (also not part of `all`) sweeps the map build
 //! over a workers (1/2/4/8) × domain-count (2k → 1M synthetic) grid —
@@ -104,7 +106,7 @@ fn main() -> ExitCode {
     let mut serve_clients: usize = 4;
     let mut min_serve_qps: Option<f64> = None;
     let mut min_stream_speedup: Option<f64> = None;
-    let mut min_e2e_speedup: Option<f64> = None;
+    let mut min_algorithm_speedup: Option<f64> = None;
     let mut max_bytes_per_obs: Option<f64> = None;
     let mut min_mem_reduction: Option<f64> = None;
     let mut ids: Vec<String> = Vec::new();
@@ -232,16 +234,16 @@ fn main() -> ExitCode {
                 };
                 min_mem_reduction = Some(v);
             }
-            "--min-e2e-speedup" => {
+            "--min-algorithm-speedup" => {
                 let Some(v) = it
                     .next()
                     .and_then(|v| v.parse().ok())
                     .filter(|&v: &f64| v > 0.0)
                 else {
-                    eprintln!("--min-e2e-speedup expects a positive number");
+                    eprintln!("--min-algorithm-speedup expects a positive number");
                     return ExitCode::FAILURE;
                 };
-                min_e2e_speedup = Some(v);
+                min_algorithm_speedup = Some(v);
             }
             "--scale" => {
                 let Some(v) = it.next().and_then(|v| Scale::parse(&v)) else {
@@ -260,7 +262,7 @@ fn main() -> ExitCode {
             "--help" | "-h" => {
                 println!(
                     "usage: experiments [--scale quick|standard|full] [--seed N] [--workers N] \
-                     [--reps N] [--max-domains N] [--max-obs N] [--min-e2e-speedup X] \
+                     [--reps N] [--max-domains N] [--max-obs N] [--min-algorithm-speedup X] \
                      [--max-bytes-per-obs X] [--min-mem-reduction X] [--stream-weeks N] \
                      [--min-stream-speedup X] [--serve-kills N] [--serve-clients N] \
                      [--min-serve-qps X] <id>... | all\n\
@@ -425,17 +427,16 @@ fn main() -> ExitCode {
                 report.trajectory.len(),
                 t.elapsed()
             );
-            if let Some(min) = min_e2e_speedup {
-                let speedup = e2e.map_or(0.0, |s| s.speedup);
+            if let Some(min) = min_algorithm_speedup {
+                let speedup = report.algorithm_speedup;
                 if speedup < min {
                     eprintln!(
-                        "REGRESSION: end-to-end speedup {speedup:.2}x at {} workers is below \
-                         the {min:.2}x gate",
-                        report.workers
+                        "REGRESSION: algorithm speedup {speedup:.2}x (reference map build vs \
+                         arena, both at 1 worker) is below the {min:.2}x gate"
                     );
                     return ExitCode::FAILURE;
                 }
-                eprintln!("e2e speedup gate: {speedup:.2}x >= {min:.2}x, ok");
+                eprintln!("algorithm speedup gate: {speedup:.2}x >= {min:.2}x, ok");
             }
             continue;
         }

@@ -6,7 +6,7 @@
 
 use retrodns_core::pipeline::{AnalystInputs, Pipeline, PipelineConfig, Report};
 use retrodns_core::report::DomainInfo;
-use retrodns_core::{DeploymentMap, Pattern};
+use retrodns_core::{DeploymentMap, MapBuilder, Pattern};
 use retrodns_scan::{DomainObservation, ScanDataset};
 use retrodns_sim::{SimConfig, World};
 use retrodns_types::DomainName;
@@ -87,7 +87,9 @@ impl Bundle {
             workers: 4,
             ..PipelineConfig::default()
         });
-        let (maps, patterns) = pipeline.maps_and_patterns(&observations);
+        let (maps, _) = MapBuilder::new(world.config.window.clone())
+            .build_sharded_stats(&observations, pipeline.config.workers);
+        let patterns = pipeline.classify_maps(&maps);
         let report = pipeline.run(&AnalystInputs {
             observations: &observations,
             asdb: &world.geo.asdb,

@@ -105,7 +105,7 @@ fn render_gallery(title: &str, archetypes: &[Archetype]) -> String {
     let builder = MapBuilder::new(StudyWindow::default());
     let cfg = ClassifyConfig::default();
     for a in archetypes {
-        let maps = builder.build(&a.observations);
+        let (maps, _) = builder.build_sharded_stats(&a.observations, 1);
         let pattern = classify(&maps[0], &cfg);
         let verdict = if pattern.label() == a.expected {
             "ok"

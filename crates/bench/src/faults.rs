@@ -158,7 +158,7 @@ fn run_cell(
             metrics.count(&format!("faults.{label}"), n as u64);
         }
     }
-    let report = pipeline.run_metered(
+    let report = pipeline.run_with(
         &AnalystInputs {
             observations: cell.observations,
             asdb: &world.geo.asdb,
@@ -168,6 +168,7 @@ fn run_cell(
             dnssec: Some(&world.dnssec),
             source_faults: cell.source_faults,
         },
+        None,
         &mut metrics,
     );
     let quarantined: usize = report.funnel.quarantined.values().sum();

@@ -200,7 +200,7 @@ pub struct PipelineBenchReport {
     /// Per-stage measurements in pipeline order.
     pub stages: Vec<StageBench>,
     /// Best-of-N parallel end-to-end wall milliseconds with metrics
-    /// collection enabled ([`Pipeline::run_metered`]).
+    /// collection enabled ([`Pipeline::run_with`]).
     #[serde(default)]
     pub metered_ms: f64,
     /// Relative cost of metrics collection on the parallel end-to-end
@@ -219,6 +219,12 @@ pub struct PipelineBenchReport {
     /// the signal), so `metrics_overhead_pct` was clamped to 0.
     #[serde(default)]
     pub metrics_overhead_noise: bool,
+    /// Reference map build ÷ arena map build, both at one worker: the
+    /// algorithmic gain of the map engine, kept apart from its parallel
+    /// scaling (the `map_build` stage row compares the arena against
+    /// itself).
+    #[serde(default)]
+    pub algorithm_speedup: f64,
     /// Git revision (`git rev-parse --short HEAD`) this report was
     /// generated from.
     #[serde(default)]
@@ -272,6 +278,11 @@ impl PipelineBenchReport {
                 s.speedup
             );
         }
+        let _ = writeln!(
+            out,
+            "algorithm speedup: {:.2}x (reference map build vs arena, both at 1 worker)",
+            self.algorithm_speedup
+        );
         let _ = writeln!(
             out,
             "metrics overhead: {:.2} ms metered vs plain parallel e2e ({:+.1}%{})",
@@ -446,11 +457,22 @@ pub fn bench_pipeline(bundle: &Bundle, workers: usize, reps: usize) -> PipelineB
         ..PipelineConfig::default()
     });
 
+    // Algorithm and parallelism are reported apart: the map stage's
+    // serial column is the arena engine at one worker (the same engine
+    // the parallel column runs), and the reference builder only enters
+    // `algorithm_speedup`.
     let builder = MapBuilder::new(window);
-    let map_serial = time_ms(reps, || builder.build(observations));
-    let map_parallel = time_ms(reps, || builder.build_parallel(observations, workers));
+    let map_reference = time_ms(reps, || builder.build(observations));
+    let map_serial = time_ms(reps, || builder.build_sharded_stats(observations, 1));
+    let map_parallel = time_ms(reps, || builder.build_sharded_stats(observations, workers));
+    let algorithm_speedup = if map_serial > 0.0 {
+        map_reference / map_serial
+    } else {
+        0.0
+    };
 
-    let (maps, patterns) = serial.maps_and_patterns(observations);
+    let (maps, _) = builder.build_sharded_stats(observations, 1);
+    let patterns = serial.classify_maps(&maps);
     let classify_serial = time_ms(reps, || serial.classify_maps(&maps));
     let classify_parallel = time_ms(reps, || parallel.classify_maps(&maps));
 
@@ -481,7 +503,7 @@ pub fn bench_pipeline(bundle: &Bundle, workers: usize, reps: usize) -> PipelineB
     let plain_ms = time_ms(overhead_reps, || parallel.run(&inputs));
     let metered_ms = time_ms(overhead_reps, || {
         let mut metrics = MetricsRegistry::new();
-        parallel.run_metered(&inputs, &mut metrics)
+        parallel.run_with(&inputs, None, &mut metrics)
     });
     let metrics_overhead_raw_pct = if plain_ms > 0.0 {
         (metered_ms - plain_ms) / plain_ms * 100.0
@@ -500,6 +522,7 @@ pub fn bench_pipeline(bundle: &Bundle, workers: usize, reps: usize) -> PipelineB
         metrics_overhead_pct,
         metrics_overhead_raw_pct,
         metrics_overhead_noise,
+        algorithm_speedup,
         git_rev: git_rev(),
         matrix: Vec::new(),
         trajectory: Vec::new(),
@@ -718,7 +741,7 @@ pub fn bench_map_matrix(
         let serial_ms = time_ms(reps, || builder.build(&stream));
         let maps = builder.build(&stream).len();
         for &workers in worker_counts {
-            let sharded_ms = time_ms(reps, || builder.build_parallel(&stream, workers));
+            let sharded_ms = time_ms(reps, || builder.build_sharded_stats(&stream, workers));
             cells.push(MatrixCell {
                 workers,
                 domains,

@@ -4,12 +4,13 @@
 //! a crash (or an operator interrupt) partway through a run should not
 //! forfeit the stages already computed. After each resumable stage —
 //! map building, classification, shortlisting, inspection —
-//! [`Pipeline::run_resumable`](crate::pipeline::Pipeline::run_resumable)
-//! serializes the stage output into a [`CheckpointStore`] directory. A
-//! later invocation over the same configuration and inputs detects the
-//! valid checkpoint chain and restarts from the first missing or invalid
-//! stage, producing a `Report` byte-identical to an uninterrupted run
-//! (the same guarantee the worker knob gives; see `DESIGN.md` §7).
+//! [`Pipeline::run_with`](crate::pipeline::Pipeline::run_with), given a
+//! [`CheckpointStore`], serializes the stage output into the store's
+//! directory. A later invocation over the same configuration and inputs
+//! detects the valid checkpoint chain and restarts from the first missing
+//! or invalid stage, producing a `Report` byte-identical to an
+//! uninterrupted run (the same guarantee the worker knob gives; see
+//! `DESIGN.md` §7).
 //!
 //! ## On-disk format
 //!
@@ -354,11 +355,15 @@ mod tests {
         }
     }
 
+    /// A fresh store in a directory of its own: tests run in parallel,
+    /// so each call takes the next number from a process-wide counter.
     fn store() -> CheckpointStore {
+        use std::sync::atomic::{AtomicUsize, Ordering};
+        static NEXT: AtomicUsize = AtomicUsize::new(0);
         let dir = std::env::temp_dir().join(format!(
-            "retrodns-ckpt-unit-{}-{:p}",
+            "retrodns-ckpt-unit-{}-{}",
             std::process::id(),
-            &CHECKPOINT_FORMAT_VERSION
+            NEXT.fetch_add(1, Ordering::Relaxed)
         ));
         let _ = std::fs::remove_dir_all(&dir);
         CheckpointStore::open(dir).unwrap()

@@ -9,28 +9,33 @@
 //! scan or two) via `link_gap_scans`; a longer silence splits the run, so
 //! the same ASN can legitimately host several distinct deployments in a
 //! period (which is how repeated transients appear).
+//!
+//! Every production path builds maps through one engine: the
+//! `ObsSource`-generic, range-sharded arena
+//! ([`MapBuilder::build_sharded_stats`] over rows,
+//! [`MapBuilder::build_store_stats`] over a columnar store, and
+//! [`MapBuilder::append_scan`] for first sightings). The HashMap/interner
+//! builder in [`reference`] is kept only as the equivalence oracle.
 
 use retrodns_cert::CertId;
 use retrodns_scan::DomainObservation;
 use retrodns_store::{ObsColumns, ObservationStore, ASN_NONE, COUNTRY_NONE};
-use retrodns_types::{
-    Asn, CountryCode, Day, DomainId, DomainInterner, DomainName, Ipv4Addr, Period, PeriodId,
-    StudyWindow,
-};
+use retrodns_types::{Asn, CountryCode, Day, DomainName, Ipv4Addr, Period, PeriodId, StudyWindow};
 use serde::{Deserialize, Serialize};
 use std::borrow::Borrow;
 use std::cmp::Ordering;
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::{BTreeMap, BTreeSet};
 use std::time::{Duration, Instant};
 
-/// Field access the sharded builder needs from an observation batch,
-/// abstracted over representation: the legacy row slice, or columnar
-/// store slices read in place (no row rehydration — the arena build
-/// pulls each field straight out of its column).
+/// Field access the map engine and the quarantine stage need from an
+/// observation batch, abstracted over representation: a row slice, or
+/// columnar store slices read in place (no row rehydration — the arena
+/// build pulls each field straight out of its column).
 ///
-/// Indices are positions in the *logical* stream (after any selection),
-/// which the hot loops carry as `u32` in the arena.
-trait ObsSource: Sync {
+/// Indices are positions in the *logical* stream (after any
+/// [`Selected`] routing), which the hot loops carry as `u32` in the
+/// arena.
+pub(crate) trait ObsSource: Sync {
     /// Observations in the batch.
     fn len(&self) -> usize;
     /// Scan date of observation `i`.
@@ -53,12 +58,23 @@ trait ObsSource: Sync {
     /// map, at bucket flush).
     fn domain_at(&self, i: usize) -> &DomainName;
     /// `(domain, date)` ordering of observations `a` and `b` — the
-    /// sort key the quarantine stage emits.
+    /// sort key the map engine needs.
     fn cmp_domain_date(&self, a: usize, b: usize) -> Ordering;
+    /// Full ordering of observations `a` and `b`, matching the derived
+    /// [`DomainObservation`] `Ord` field for field (`None` first for the
+    /// optional fields) — the sort and dedup key of the quarantine stage.
+    fn cmp_full(&self, a: usize, b: usize) -> Ordering {
+        self.cmp_domain_date(a, b)
+            .then_with(|| self.ip(a).cmp(&self.ip(b)))
+            .then_with(|| self.asn(a).cmp(&self.asn(b)))
+            .then_with(|| self.country(a).cmp(&self.country(b)))
+            .then_with(|| self.cert(a).cmp(&self.cert(b)))
+            .then_with(|| self.trusted(a).cmp(&self.trusted(b)))
+    }
 }
 
 /// Row-slice source: any slice of borrowable observations.
-struct RowSource<'a, O>(&'a [O]);
+pub(crate) struct RowSource<'a, O>(pub(crate) &'a [O]);
 
 impl<O: Borrow<DomainObservation> + Sync> ObsSource for RowSource<'_, O> {
     #[inline]
@@ -102,85 +118,134 @@ impl<O: Borrow<DomainObservation> + Sync> ObsSource for RowSource<'_, O> {
         let (a, b) = (self.0[a].borrow(), self.0[b].borrow());
         (&a.domain, a.date).cmp(&(&b.domain, b.date))
     }
-}
-
-/// Columnar source: borrowed store columns, optionally routed through a
-/// selection (the quarantine stage's kept-row indices).
-struct ColSource<'a> {
-    cols: ObsColumns<'a>,
-    sel: Option<&'a [u32]>,
-}
-
-impl ColSource<'_> {
-    /// Logical index → physical row in the store.
     #[inline]
-    fn at(&self, i: usize) -> usize {
-        match self.sel {
-            Some(s) => s[i] as usize,
-            None => i,
-        }
+    fn cmp_full(&self, a: usize, b: usize) -> Ordering {
+        self.0[a].borrow().cmp(self.0[b].borrow())
     }
 }
+
+/// Columnar source: borrowed store columns.
+pub(crate) struct ColSource<'a>(pub(crate) ObsColumns<'a>);
 
 impl ObsSource for ColSource<'_> {
     #[inline]
     fn len(&self) -> usize {
-        match self.sel {
-            Some(s) => s.len(),
-            None => self.cols.len(),
-        }
+        self.0.len()
     }
     #[inline]
     fn date(&self, i: usize) -> Day {
-        self.cols.date(self.at(i))
+        self.0.date(i)
     }
     #[inline]
     fn ip(&self, i: usize) -> Ipv4Addr {
-        Ipv4Addr(self.cols.ip[self.at(i)])
+        Ipv4Addr(self.0.ip[i])
     }
     #[inline]
     fn asn(&self, i: usize) -> Option<Asn> {
-        match self.cols.asn[self.at(i)] {
+        match self.0.asn[i] {
             ASN_NONE => None,
             a => Some(Asn(a)),
         }
     }
     #[inline]
     fn country(&self, i: usize) -> Option<CountryCode> {
-        match self.cols.country[self.at(i)] {
+        match self.0.country[i] {
             COUNTRY_NONE => None,
             c => Some(CountryCode::new(c.to_be_bytes())),
         }
     }
     #[inline]
     fn cert(&self, i: usize) -> CertId {
-        self.cols.certs[self.cols.cert[self.at(i)] as usize]
+        self.0.certs[self.0.cert[i] as usize]
     }
     #[inline]
     fn trusted(&self, i: usize) -> bool {
-        self.cols.trusted_bit(self.at(i))
+        self.0.trusted_bit(i)
     }
     #[inline]
     fn same_domain(&self, a: usize, b: usize) -> bool {
-        self.cols.domain_id[self.at(a)] == self.cols.domain_id[self.at(b)]
+        self.0.domain_id[a] == self.0.domain_id[b]
     }
     #[inline]
     fn domain_at(&self, i: usize) -> &DomainName {
-        &self.cols.domains[self.cols.domain_id[self.at(i)] as usize]
+        &self.0.domains[self.0.domain_id[i] as usize]
     }
     #[inline]
     fn cmp_domain_date(&self, a: usize, b: usize) -> Ordering {
-        let (pa, pb) = (self.at(a), self.at(b));
-        let (ida, idb) = (self.cols.domain_id[pa], self.cols.domain_id[pb]);
+        let (ida, idb) = (self.0.domain_id[a], self.0.domain_id[b]);
         // Interned ids are first-seen, not lexicographic: equal ids mean
         // equal names (skip the string compare), different ids fall back
         // to name order.
         let by_domain = if ida == idb {
             Ordering::Equal
         } else {
-            self.cols.domains[ida as usize].cmp(&self.cols.domains[idb as usize])
+            self.0.domains[ida as usize].cmp(&self.0.domains[idb as usize])
         };
-        by_domain.then(self.cols.day[pa].cmp(&self.cols.day[pb]))
+        by_domain.then(self.0.day[a].cmp(&self.0.day[b]))
+    }
+}
+
+/// A *selection* of a source: the listed observation indices, in the
+/// listed order. This is how the quarantine stage's kept observations
+/// and the engine's sort of unsorted input reach the arena — the
+/// underlying rows or columns never move.
+struct Selected<'a, S> {
+    src: &'a S,
+    sel: &'a [u32],
+}
+
+impl<S: ObsSource> Selected<'_, S> {
+    /// Logical index → index in the underlying source.
+    #[inline]
+    fn at(&self, i: usize) -> usize {
+        self.sel[i] as usize
+    }
+}
+
+impl<S: ObsSource> ObsSource for Selected<'_, S> {
+    #[inline]
+    fn len(&self) -> usize {
+        self.sel.len()
+    }
+    #[inline]
+    fn date(&self, i: usize) -> Day {
+        self.src.date(self.at(i))
+    }
+    #[inline]
+    fn ip(&self, i: usize) -> Ipv4Addr {
+        self.src.ip(self.at(i))
+    }
+    #[inline]
+    fn asn(&self, i: usize) -> Option<Asn> {
+        self.src.asn(self.at(i))
+    }
+    #[inline]
+    fn country(&self, i: usize) -> Option<CountryCode> {
+        self.src.country(self.at(i))
+    }
+    #[inline]
+    fn cert(&self, i: usize) -> CertId {
+        self.src.cert(self.at(i))
+    }
+    #[inline]
+    fn trusted(&self, i: usize) -> bool {
+        self.src.trusted(self.at(i))
+    }
+    #[inline]
+    fn same_domain(&self, a: usize, b: usize) -> bool {
+        self.src.same_domain(self.at(a), self.at(b))
+    }
+    #[inline]
+    fn domain_at(&self, i: usize) -> &DomainName {
+        self.src.domain_at(self.at(i))
+    }
+    #[inline]
+    fn cmp_domain_date(&self, a: usize, b: usize) -> Ordering {
+        self.src.cmp_domain_date(self.at(a), self.at(b))
+    }
+    #[inline]
+    fn cmp_full(&self, a: usize, b: usize) -> Ordering {
+        self.src.cmp_full(self.at(a), self.at(b))
     }
 }
 
@@ -312,10 +377,11 @@ pub struct MapBuilder {
     /// Maximum number of *missed scans* between sightings that still link
     /// two groups into one deployment.
     pub link_gap_scans: u32,
-    /// Adaptive serial-fallback threshold for the sharded build: when a
+    /// Adaptive single-range threshold for the sharded build: when a
     /// worker would receive fewer than this many observations, the input
-    /// is too small to amortize thread spawn and the reference serial
-    /// builder runs instead. Tests force the sharded path by setting 0.
+    /// is too small to amortize thread spawn and the whole input is built
+    /// as one arena range on the calling thread. Tests force the sharded
+    /// path by setting 0.
     pub min_obs_per_worker: usize,
 }
 
@@ -334,202 +400,79 @@ impl MapBuilder {
         }
     }
 
-    /// Build deployment maps for every (domain, period) with data.
-    /// Observations with no origin ASN are dropped (cannot be grouped).
-    pub fn build(&self, observations: &[DomainObservation]) -> Vec<DeploymentMap> {
-        self.build_refs(observations.iter())
-    }
-
-    /// [`Self::build`] over any iterator of borrowed observations. This is
-    /// the zero-copy core: callers (notably the parallel sharder) hand in
-    /// references and nothing is cloned until the final per-map
-    /// `DomainName` materialization.
-    ///
-    /// Domains are interned to dense [`DomainId`]s up front, so the hot
-    /// bucketing loop hashes a `(u32, usize)` key instead of a domain
-    /// string, and period membership is the O(1)
-    /// [`StudyWindow::period_of`] rather than a scan over all periods.
-    pub fn build_refs<'a, I>(&self, observations: I) -> Vec<DeploymentMap>
-    where
-        I: IntoIterator<Item = &'a DomainObservation>,
-    {
-        let mut interner = DomainInterner::new();
-        // (domain, period) → (date, asn) → group
-        let mut buckets: HashMap<(DomainId, PeriodId), BTreeMap<(Day, Asn), DeploymentGroup>> =
-            HashMap::new();
-        for obs in observations {
-            let Some(asn) = obs.asn else { continue };
-            let Some(period) = self.window.period_of(obs.date) else {
-                continue;
-            };
-            let domain = interner.intern(&obs.domain);
-            let group = buckets
-                .entry((domain, period.id))
-                .or_default()
-                .entry((obs.date, asn))
-                .or_insert_with(|| DeploymentGroup {
-                    date: obs.date,
-                    asn,
-                    ips: BTreeSet::new(),
-                    certs: BTreeSet::new(),
-                    countries: BTreeSet::new(),
-                    trusted: false,
-                });
-            group.ips.insert(obs.ip);
-            group.certs.insert(obs.cert);
-            if let Some(cc) = obs.country {
-                group.countries.insert(cc);
-            }
-            group.trusted |= obs.trusted;
-        }
-
-        let periods = self.window.periods();
-        let mut maps: Vec<DeploymentMap> = buckets
-            .into_iter()
-            .map(|((domain, pid), groups)| {
-                self.link(interner.resolve(domain).clone(), periods[pid], groups)
-            })
-            .collect();
-        maps.sort_by(|a, b| (&a.domain, a.period.id).cmp(&(&b.domain, b.period.id)));
-        maps
-    }
-
-    /// Build maps in parallel across worker threads (byte-identical output
-    /// to [`Self::build`]; used for the multi-million-observation runs).
+    /// Build deployment maps for every (domain, period) with data, with
+    /// per-shard statistics (observation and map counts, wall time, arena
+    /// footprint) for the metrics layer. Observations with no origin ASN
+    /// are dropped (cannot be grouped); input may arrive in any order.
     ///
     /// Observations are partitioned into `workers` *contiguous ranges cut
     /// at domain boundaries* of the `(domain, date)`-sorted input, so each
     /// worker owns a disjoint domain key range and builds its maps to
     /// completion in a per-shard [`ShardArena`]. Because the ranges are
     /// ordered, the final output is a stable-by-key concatenation of the
-    /// per-shard outputs — no global merge, no order-preserving re-sort,
-    /// no deep copies across the join barrier.
-    pub fn build_parallel(
-        &self,
-        observations: &[DomainObservation],
-        workers: usize,
-    ) -> Vec<DeploymentMap> {
-        self.build_sharded_stats(observations, workers).0
-    }
-
-    /// [`build_parallel`](Self::build_parallel), additionally reporting
-    /// the per-worker shard sizes (observations in each worker's domain
-    /// range) so callers can meter shard balance.
-    pub fn build_sharded(
-        &self,
-        observations: &[DomainObservation],
-        workers: usize,
-    ) -> (Vec<DeploymentMap>, Vec<usize>) {
-        let (maps, stats) = self.build_sharded_stats(observations, workers);
-        let sizes = stats.iter().map(|s| s.observations).collect();
-        (maps, sizes)
-    }
-
-    /// The sharded build with full per-shard statistics (observation and
-    /// map counts, wall time, arena footprint) for the metrics layer.
-    ///
-    /// Falls back to the reference serial builder when `workers == 1` or
-    /// the input is smaller than `workers ×`
-    /// [`min_obs_per_worker`](Self::min_obs_per_worker) — tiny inputs
-    /// never pay thread-spawn overhead.
+    /// per-shard outputs — no global merge, no re-sort. With one worker,
+    /// or fewer than `workers ×` [`min_obs_per_worker`](Self::min_obs_per_worker)
+    /// observations, the same arena builds the whole input as one range
+    /// without spawning a thread.
     pub fn build_sharded_stats(
         &self,
         observations: &[DomainObservation],
         workers: usize,
     ) -> (Vec<DeploymentMap>, Vec<ShardStats>) {
-        assert!(workers >= 1);
-        if workers == 1 || observations.len() < workers.saturating_mul(self.min_obs_per_worker) {
-            let t = Instant::now();
-            let maps = self.build(observations);
-            let stats = ShardStats {
-                observations: observations.len(),
-                maps: maps.len(),
-                wall: t.elapsed(),
-                arena_bytes: 0,
-            };
-            return (maps, vec![stats]);
-        }
-        // The pipeline hands in quarantine-sorted input; arbitrary callers
-        // (and the equivalence proptests) may not. The fast path needs
-        // domain-contiguous, date-ordered runs, so unsorted input pays one
-        // reference-sorting pass over borrowed observations first.
-        let src = RowSource(observations);
-        if source_is_sorted(&src) {
-            self.build_ranges(&src, workers)
-        } else {
-            let mut refs: Vec<&DomainObservation> = observations.iter().collect();
-            refs.sort_by(|a, b| (&a.domain, a.date).cmp(&(&b.domain, b.date)));
-            self.build_ranges(&RowSource(&refs), workers)
-        }
+        self.build_selection(&RowSource(observations), None, workers)
     }
 
-    /// Build deployment maps straight from a columnar
-    /// [`ObservationStore`] — fields are read out of the store's columns
-    /// in place; no `DomainObservation` row is ever rehydrated.
-    pub fn build_store(&self, store: &ObservationStore, workers: usize) -> Vec<DeploymentMap> {
-        self.build_store_stats(store, None, workers).0
-    }
-
-    /// [`build_store`](Self::build_store) with per-shard statistics and
-    /// an optional *selection*: indices of the store rows to analyze, in
-    /// analysis order (the quarantine stage's kept-row output). `None`
-    /// means every row.
-    ///
-    /// Output is byte-identical to [`Self::build`] over the equivalent
-    /// (selected) row vector. Small inputs still skip thread spawn, but
-    /// the columnar serial fallback is a single-range arena pass — never
-    /// a row-slice round trip.
+    /// [`build_sharded_stats`](Self::build_sharded_stats) straight from a
+    /// columnar [`ObservationStore`] — fields are read out of the store's
+    /// columns in place; no `DomainObservation` row is ever rehydrated.
+    /// `selection` lists the store rows to analyze (the quarantine
+    /// stage's kept rows); `None` means every row.
     pub fn build_store_stats(
         &self,
         store: &ObservationStore,
         selection: Option<&[u32]>,
         workers: usize,
     ) -> (Vec<DeploymentMap>, Vec<ShardStats>) {
-        assert!(workers >= 1);
-        let cols = store.columns();
-        let src = ColSource {
-            cols,
-            sel: selection,
-        };
-        if source_is_sorted(&src) {
-            return self.build_source(&src, workers);
-        }
-        // Unsorted input: sort a selection by (domain, date) — stable,
-        // mirroring the row path's reference sort — and route the build
-        // through it. The columns themselves never move.
-        let mut sel: Vec<u32> = match selection {
-            Some(s) => s.to_vec(),
-            None => (0..store.len() as u32).collect(),
-        };
-        let phys = ColSource { cols, sel: None };
-        sel.sort_by(|&a, &b| phys.cmp_domain_date(a as usize, b as usize));
-        let src = ColSource {
-            cols,
-            sel: Some(&sel),
-        };
-        self.build_source(&src, workers)
+        self.build_selection(&ColSource(store.columns()), selection, workers)
     }
 
-    /// Sharded build over an already-sorted source, with the adaptive
-    /// serial fallback. The fallback builds through a single-range arena
-    /// pass over the same source — representation-preserving, unlike the
-    /// row path's historical fallback to [`Self::build`].
+    /// The engine's entry point over any source, optionally routed
+    /// through a selection. Input that is not `(domain, date)`-sorted is
+    /// routed through a stably sorted selection first; the observations
+    /// themselves never move.
+    pub(crate) fn build_selection<S: ObsSource>(
+        &self,
+        src: &S,
+        selection: Option<&[u32]>,
+        workers: usize,
+    ) -> (Vec<DeploymentMap>, Vec<ShardStats>) {
+        assert!(workers >= 1);
+        match selection {
+            None if source_is_sorted(src) => return self.build_source(src, workers),
+            Some(sel) if source_is_sorted(&Selected { src, sel }) => {
+                return self.build_source(&Selected { src, sel }, workers)
+            }
+            _ => {}
+        }
+        let mut sel: Vec<u32> = match selection {
+            Some(s) => s.to_vec(),
+            None => (0..u32::try_from(src.len()).expect("a source fits u32 indices")).collect(),
+        };
+        sel.sort_by(|&a, &b| src.cmp_domain_date(a as usize, b as usize));
+        self.build_source(&Selected { src, sel: &sel }, workers)
+    }
+
+    /// Sharded build over an already-sorted source. Small inputs (and
+    /// `workers == 1`) build as a single arena range on the calling
+    /// thread.
     fn build_source<S: ObsSource>(
         &self,
         src: &S,
         workers: usize,
     ) -> (Vec<DeploymentMap>, Vec<ShardStats>) {
         if workers == 1 || src.len() < workers.saturating_mul(self.min_obs_per_worker) {
-            let t = Instant::now();
             let periods = PeriodIndex::new(&self.window);
-            let mut arena = ShardArena::default();
-            let maps = self.build_range(src, 0, src.len(), &periods, &mut arena);
-            let stats = ShardStats {
-                observations: src.len(),
-                maps: maps.len(),
-                wall: t.elapsed(),
-                arena_bytes: arena.footprint_bytes(),
-            };
+            let (maps, stats) = self.build_shard(src, 0, src.len(), &periods);
             return (maps, vec![stats]);
         }
         self.build_ranges(src, workers)
@@ -538,8 +481,8 @@ impl MapBuilder {
     /// Cut `observations` into `workers` domain-aligned ranges, build each
     /// range's maps in a scoped worker with its own [`ShardArena`], and
     /// concatenate the per-range outputs in range order. Range order is
-    /// domain order, so the concatenation is already the serial builder's
-    /// `(domain, period)` total order.
+    /// domain order, so the concatenation is already the `(domain,
+    /// period)` total order.
     fn build_ranges<S: ObsSource>(
         &self,
         src: &S,
@@ -555,18 +498,7 @@ impl MapBuilder {
                 .map(|w| {
                     let (lo, hi) = (w[0], w[1]);
                     let periods = &periods;
-                    scope.spawn(move |_| {
-                        let t = Instant::now();
-                        let mut arena = ShardArena::default();
-                        let out = self.build_range(src, lo, hi, periods, &mut arena);
-                        let stat = ShardStats {
-                            observations: hi - lo,
-                            maps: out.len(),
-                            wall: t.elapsed(),
-                            arena_bytes: arena.footprint_bytes(),
-                        };
-                        (out, stat)
-                    })
+                    scope.spawn(move |_| self.build_shard(src, lo, hi, periods))
                 })
                 .collect();
             for h in handles {
@@ -581,6 +513,26 @@ impl MapBuilder {
                 .all(|w| (&w[0].domain, w[0].period.id) < (&w[1].domain, w[1].period.id)),
             "range concatenation broke the (domain, period) total order"
         );
+        (maps, stats)
+    }
+
+    /// Build one range `[lo, hi)` in a fresh [`ShardArena`], timing it.
+    fn build_shard<S: ObsSource>(
+        &self,
+        src: &S,
+        lo: usize,
+        hi: usize,
+        periods: &PeriodIndex,
+    ) -> (Vec<DeploymentMap>, ShardStats) {
+        let t = Instant::now();
+        let mut arena = ShardArena::default();
+        let maps = self.build_range(src, lo, hi, periods, &mut arena);
+        let stats = ShardStats {
+            observations: hi - lo,
+            maps: maps.len(),
+            wall: t.elapsed(),
+            arena_bytes: arena.footprint_bytes(),
+        };
         (maps, stats)
     }
 
@@ -637,7 +589,7 @@ impl MapBuilder {
 
     /// Turn the arena's pending `(domain, period)` observation indices
     /// into one [`DeploymentMap`], clearing the arena for the next
-    /// bucket. This is the reference [`Self::link`] restated over flat
+    /// bucket. This is the reference builder's linking restated over flat
     /// arrays: group by `(asn, date)` via one unstable sort, link runs
     /// with the gap rule, and batch-deduplicate the accumulated ip /
     /// cert-fingerprint / country columns with sort+dedup instead of
@@ -736,52 +688,6 @@ impl MapBuilder {
         });
     }
 
-    /// Link one (domain, period) bucket of groups into deployments.
-    fn link(
-        &self,
-        domain: DomainName,
-        period: Period,
-        groups: BTreeMap<(Day, Asn), DeploymentGroup>,
-    ) -> DeploymentMap {
-        let max_gap_days = (self.link_gap_scans + 1) * self.window.scan_interval_days;
-        // Per-ASN date-ordered group lists (BTreeMap iteration is sorted).
-        let mut by_asn: BTreeMap<Asn, Vec<DeploymentGroup>> = BTreeMap::new();
-        let mut dates_present: BTreeSet<Day> = BTreeSet::new();
-        for ((date, asn), group) in groups {
-            dates_present.insert(date);
-            by_asn.entry(asn).or_default().push(group);
-        }
-        let mut deployments = Vec::new();
-        for (asn, groups) in by_asn {
-            let mut current: Option<Deployment> = None;
-            for g in groups {
-                match current.as_mut() {
-                    Some(d) if g.date - d.last <= max_gap_days => absorb_group(d, &g),
-                    _ => {
-                        if let Some(done) = current.take() {
-                            deployments.push(done);
-                        }
-                        let mut d = new_deployment(asn, g.date);
-                        absorb_group(&mut d, &g);
-                        current = Some(d);
-                    }
-                }
-            }
-            if let Some(done) = current.take() {
-                deployments.push(done);
-            }
-        }
-        deployments.sort_by_key(|d| (d.first, d.asn));
-        let expected_scans = self.window.scan_dates_in(&period).len();
-        DeploymentMap {
-            domain,
-            period,
-            deployments,
-            dates_present: dates_present.into_iter().collect(),
-            expected_scans,
-        }
-    }
-
     /// Merge one new scan batch into already-built maps — the incremental
     /// ingestion path. `maps` must be sorted by `(domain, period.id)` (the
     /// order every build method produces) and every observation date must
@@ -793,10 +699,11 @@ impl MapBuilder {
     /// Equivalence argument: appended dates exceed every existing
     /// deployment's `last`, so the only linking decision the batch can
     /// affect is "extend the ASN's most recent run or open a new one" —
-    /// exactly what [`link`](Self::link) would decide seeing the full
-    /// group sequence. An ASN's most recent run is its deployment with
-    /// maximal `first`, i.e. its last occurrence in the `(first, asn)`
-    /// sorted vector.
+    /// exactly what linking the full group sequence would decide. An
+    /// ASN's most recent run is its deployment with maximal `first`, i.e.
+    /// its last occurrence in the `(first, asn)` sorted vector. An unseen
+    /// `(domain, period)` has the batch as its whole history, so the
+    /// arena engine builds it as one range.
     ///
     /// Returns the dirty set: indices (into the post-merge `maps`) of
     /// maps that changed or appeared, so callers re-classify only those.
@@ -823,7 +730,12 @@ impl MapBuilder {
             .collect();
         rows.sort_unstable_by(|a, b| (a.0, a.1, a.2, a.3).cmp(&(b.0, b.1, b.2, b.3)));
 
-        let periods = self.window.periods();
+        // First-sighting buckets are built by the arena engine, reading
+        // the same sorted rows.
+        let refs: Vec<&DomainObservation> = rows.iter().map(|r| r.4).collect();
+        let bucket_rows = RowSource(&refs);
+        let periods = PeriodIndex::new(&self.window);
+        let mut arena = ShardArena::default();
         let mut outcome = AppendOutcome::default();
         // Merge-join against the (domain, period.id)-sorted maps:
         // buckets arrive in that same order, so a forward cursor finds
@@ -890,20 +802,13 @@ impl MapBuilder {
                 outcome.updated.push(cursor);
             } else {
                 // First sighting of this (domain, period): the batch is
-                // its entire history, so the reference linker builds it
-                // outright.
-                let mut groups: BTreeMap<(Day, Asn), DeploymentGroup> = BTreeMap::new();
-                let mut j = i;
-                while j < end {
-                    let (date, asn) = (rows[j].2, rows[j].3);
-                    let mut k = j + 1;
-                    while k < end && rows[k].2 == date && rows[k].3 == asn {
-                        k += 1;
-                    }
-                    groups.insert((date, asn), group_rows(date, asn, &rows[j..k]));
-                    j = k;
-                }
-                maps.insert(cursor, self.link(domain.clone(), periods[pid], groups));
+                // its entire history, so the arena engine builds it
+                // outright from the bucket's rows.
+                let built = self.build_range(&bucket_rows, i, end, &periods, &mut arena);
+                let [map]: [DeploymentMap; 1] = built
+                    .try_into()
+                    .expect("a routed, in-window bucket builds exactly one map");
+                maps.insert(cursor, map);
                 outcome.inserted.push(cursor);
             }
             // Step past the map this bucket matched or inserted; later
@@ -1212,6 +1117,124 @@ fn domain_range_cuts<S: ObsSource>(src: &S, workers: usize) -> Vec<usize> {
     cuts
 }
 
+/// The HashMap/interner map builder, kept unchanged as the equivalence
+/// oracle the arena engine is tested against. No pipeline path calls it.
+#[doc(hidden)]
+pub mod reference {
+    use super::*;
+    use retrodns_types::{DomainId, DomainInterner};
+    use std::collections::HashMap;
+
+    impl MapBuilder {
+        /// Build deployment maps for every (domain, period) with data.
+        /// Observations with no origin ASN are dropped (cannot be grouped).
+        #[doc(hidden)]
+        pub fn build(&self, observations: &[DomainObservation]) -> Vec<DeploymentMap> {
+            self.build_refs(observations.iter())
+        }
+
+        /// [`Self::build`] over any iterator of borrowed observations. This is
+        /// the zero-copy core: callers hand in references and nothing is
+        /// cloned until the final per-map `DomainName` materialization.
+        ///
+        /// Domains are interned to dense [`DomainId`]s up front, so the hot
+        /// bucketing loop hashes a `(u32, usize)` key instead of a domain
+        /// string, and period membership is the O(1)
+        /// [`StudyWindow::period_of`] rather than a scan over all periods.
+        #[doc(hidden)]
+        pub fn build_refs<'a, I>(&self, observations: I) -> Vec<DeploymentMap>
+        where
+            I: IntoIterator<Item = &'a DomainObservation>,
+        {
+            let mut interner = DomainInterner::new();
+            // (domain, period) → (date, asn) → group
+            let mut buckets: HashMap<(DomainId, PeriodId), BTreeMap<(Day, Asn), DeploymentGroup>> =
+                HashMap::new();
+            for obs in observations {
+                let Some(asn) = obs.asn else { continue };
+                let Some(period) = self.window.period_of(obs.date) else {
+                    continue;
+                };
+                let domain = interner.intern(&obs.domain);
+                let group = buckets
+                    .entry((domain, period.id))
+                    .or_default()
+                    .entry((obs.date, asn))
+                    .or_insert_with(|| DeploymentGroup {
+                        date: obs.date,
+                        asn,
+                        ips: BTreeSet::new(),
+                        certs: BTreeSet::new(),
+                        countries: BTreeSet::new(),
+                        trusted: false,
+                    });
+                group.ips.insert(obs.ip);
+                group.certs.insert(obs.cert);
+                if let Some(cc) = obs.country {
+                    group.countries.insert(cc);
+                }
+                group.trusted |= obs.trusted;
+            }
+
+            let periods = self.window.periods();
+            let mut maps: Vec<DeploymentMap> = buckets
+                .into_iter()
+                .map(|((domain, pid), groups)| {
+                    self.link(interner.resolve(domain).clone(), periods[pid], groups)
+                })
+                .collect();
+            maps.sort_by(|a, b| (&a.domain, a.period.id).cmp(&(&b.domain, b.period.id)));
+            maps
+        }
+
+        /// Link one (domain, period) bucket of groups into deployments.
+        fn link(
+            &self,
+            domain: DomainName,
+            period: Period,
+            groups: BTreeMap<(Day, Asn), DeploymentGroup>,
+        ) -> DeploymentMap {
+            let max_gap_days = (self.link_gap_scans + 1) * self.window.scan_interval_days;
+            // Per-ASN date-ordered group lists (BTreeMap iteration is sorted).
+            let mut by_asn: BTreeMap<Asn, Vec<DeploymentGroup>> = BTreeMap::new();
+            let mut dates_present: BTreeSet<Day> = BTreeSet::new();
+            for ((date, asn), group) in groups {
+                dates_present.insert(date);
+                by_asn.entry(asn).or_default().push(group);
+            }
+            let mut deployments = Vec::new();
+            for (asn, groups) in by_asn {
+                let mut current: Option<Deployment> = None;
+                for g in groups {
+                    match current.as_mut() {
+                        Some(d) if g.date - d.last <= max_gap_days => absorb_group(d, &g),
+                        _ => {
+                            if let Some(done) = current.take() {
+                                deployments.push(done);
+                            }
+                            let mut d = new_deployment(asn, g.date);
+                            absorb_group(&mut d, &g);
+                            current = Some(d);
+                        }
+                    }
+                }
+                if let Some(done) = current.take() {
+                    deployments.push(done);
+                }
+            }
+            deployments.sort_by_key(|d| (d.first, d.asn));
+            let expected_scans = self.window.scan_dates_in(&period).len();
+            DeploymentMap {
+                domain,
+                period,
+                deployments,
+                dates_present: dates_present.into_iter().collect(),
+                expected_scans,
+            }
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1232,14 +1255,27 @@ mod tests {
         MapBuilder::new(StudyWindow::default())
     }
 
+    /// Maps built by the engine at one worker, checked against the
+    /// reference builder.
+    fn maps(observations: &[DomainObservation]) -> Vec<DeploymentMap> {
+        let b = builder();
+        let (maps, _) = b.build_sharded_stats(observations, 1);
+        assert_eq!(
+            maps,
+            b.build(observations),
+            "engine diverged from reference"
+        );
+        maps
+    }
+
     #[test]
     fn one_stable_run_links_into_one_deployment() {
         let observations: Vec<_> = (0..20)
             .map(|i| obs("a.com", i * 7, 1, 100, "GR", 1))
             .collect();
-        let maps = builder().build(&observations);
-        assert_eq!(maps.len(), 1);
-        let m = &maps[0];
+        let built = maps(&observations);
+        assert_eq!(built.len(), 1);
+        let m = &built[0];
         assert_eq!(m.deployments.len(), 1);
         assert_eq!(m.deployments[0].scan_count(), 20);
         assert_eq!(m.deployments[0].first, Day(0));
@@ -1253,16 +1289,16 @@ mod tests {
             .iter()
             .map(|i| obs("a.com", i * 7, 1, 100, "GR", 1))
             .collect();
-        let maps = builder().build(&observations);
-        assert_eq!(maps[0].deployments.len(), 1);
+        let built = maps(&observations);
+        assert_eq!(built[0].deployments.len(), 1);
 
         // Missing 3,4,5 (gap 3 → splits).
         observations = [0u32, 1, 2, 6]
             .iter()
             .map(|i| obs("a.com", i * 7, 1, 100, "GR", 1))
             .collect();
-        let maps = builder().build(&observations);
-        assert_eq!(maps[0].deployments.len(), 2);
+        let built = maps(&observations);
+        assert_eq!(built[0].deployments.len(), 2);
     }
 
     #[test]
@@ -1271,8 +1307,8 @@ mod tests {
             .map(|i| obs("a.com", i * 7, 1, 100, "GR", 1))
             .collect();
         observations.push(obs("a.com", 70, 99, 200, "NL", 666));
-        let maps = builder().build(&observations);
-        let m = &maps[0];
+        let built = maps(&observations);
+        let m = &built[0];
         assert_eq!(m.deployments.len(), 2);
         let transient = m.deployments.iter().find(|d| d.asn == Asn(200)).unwrap();
         assert_eq!(transient.scan_count(), 1);
@@ -1287,10 +1323,10 @@ mod tests {
             obs("a.com", 0, 1, 100, "GR", 1),
             obs("a.com", 200, 1, 100, "GR", 1),
         ];
-        let maps = builder().build(&observations);
-        assert_eq!(maps.len(), 2);
-        assert_eq!(maps[0].period.id, 0);
-        assert_eq!(maps[1].period.id, 1);
+        let built = maps(&observations);
+        assert_eq!(built.len(), 2);
+        assert_eq!(built[0].period.id, 0);
+        assert_eq!(built[1].period.id, 1);
     }
 
     #[test]
@@ -1299,17 +1335,16 @@ mod tests {
             obs("a.com", 0, 1, 100, "GR", 1),
             obs("b.com", 0, 2, 200, "NL", 2),
         ];
-        let maps = builder().build(&observations);
-        assert_eq!(maps.len(), 2);
-        assert!(maps.iter().all(|m| m.deployments.len() == 1));
+        let built = maps(&observations);
+        assert_eq!(built.len(), 2);
+        assert!(built.iter().all(|m| m.deployments.len() == 1));
     }
 
     #[test]
     fn unrouted_observations_dropped() {
         let mut o = obs("a.com", 0, 1, 100, "GR", 1);
         o.asn = None;
-        let maps = builder().build(&[o]);
-        assert!(maps.is_empty());
+        assert!(maps(&[o]).is_empty());
     }
 
     #[test]
@@ -1327,7 +1362,7 @@ mod tests {
         all.push(unrouted);
 
         let b = builder();
-        let batch = b.build(&all);
+        let batch = maps(&all);
         let mut streamed: Vec<DeploymentMap> = Vec::new();
         let mut dates: Vec<Day> = all.iter().map(|o| o.date).collect();
         dates.sort_unstable();
@@ -1345,9 +1380,9 @@ mod tests {
     #[test]
     fn append_scan_reports_dirty_indices() {
         let b = builder();
-        let mut maps = b.build(&[obs("a.com", 0, 1, 100, "GR", 1)]);
+        let mut built = maps(&[obs("a.com", 0, 1, 100, "GR", 1)]);
         let out = b.append_scan(
-            &mut maps,
+            &mut built,
             &[
                 obs("a.com", 7, 1, 100, "GR", 1),
                 obs("b.com", 7, 2, 200, "NL", 2),
@@ -1356,22 +1391,22 @@ mod tests {
         assert_eq!(out.updated, vec![0]);
         assert_eq!(out.inserted, vec![1]);
         assert_eq!(out.dirty(), vec![0, 1]);
-        assert_eq!(maps[1].domain.as_str(), "b.com");
+        assert_eq!(built[1].domain.as_str(), "b.com");
     }
 
     #[test]
     fn append_scan_crossing_period_boundary_opens_new_map() {
         let b = builder();
-        let mut maps = b.build(&[obs("a.com", 0, 1, 100, "GR", 1)]);
+        let mut built = maps(&[obs("a.com", 0, 1, 100, "GR", 1)]);
         // Day 200 falls in period 1: a fresh map, not an extension.
-        let out = b.append_scan(&mut maps, &[obs("a.com", 200, 1, 100, "GR", 1)]);
+        let out = b.append_scan(&mut built, &[obs("a.com", 200, 1, 100, "GR", 1)]);
         assert_eq!(out.updated, Vec::<usize>::new());
         assert_eq!(out.inserted, vec![1]);
-        let batch = b.build(&[
+        let batch = maps(&[
             obs("a.com", 0, 1, 100, "GR", 1),
             obs("a.com", 200, 1, 100, "GR", 1),
         ]);
-        assert_eq!(maps, batch);
+        assert_eq!(built, batch);
     }
 
     #[test]
@@ -1380,8 +1415,8 @@ mod tests {
             .map(|i| obs("a.com", i * 14, 1, 100, "GR", 1))
             .collect();
         // Every other weekly scan over period 0 (26 scans expected).
-        let maps = builder().build(&observations);
-        let m = &maps[0];
+        let built = maps(&observations);
+        let m = &built[0];
         assert_eq!(m.expected_scans, 26);
         assert!((m.visibility() - 0.5).abs() < 0.05, "{}", m.visibility());
     }
@@ -1390,8 +1425,8 @@ mod tests {
     fn untrusted_certs_not_in_trusted_set() {
         let mut o = obs("a.com", 0, 1, 100, "GR", 7);
         o.trusted = false;
-        let maps = builder().build(&[o]);
-        let d = &maps[0].deployments[0];
+        let built = maps(&[o]);
+        let d = &built[0].deployments[0];
         assert!(d.certs.contains(&CertId(7)));
         assert!(!d.has_trusted_cert());
     }
@@ -1431,8 +1466,8 @@ mod tests {
         let observations = mixed_observations();
         let b = sharded_builder();
         let serial = b.build(&observations);
-        for workers in [2, 3, 4, 8, 16] {
-            assert_eq!(serial, b.build_parallel(&observations, workers));
+        for workers in [1, 2, 3, 4, 8, 16] {
+            assert_eq!(serial, b.build_sharded_stats(&observations, workers).0);
         }
     }
 
@@ -1451,8 +1486,8 @@ mod tests {
         interleaved.extend(tail.into_iter().skip(interleaved.len() / 2));
         let b = sharded_builder();
         let serial = b.build(&interleaved);
-        for workers in [2, 4, 8] {
-            assert_eq!(serial, b.build_parallel(&interleaved, workers));
+        for workers in [1, 2, 4, 8] {
+            assert_eq!(serial, b.build_sharded_stats(&interleaved, workers).0);
         }
     }
 
@@ -1479,17 +1514,24 @@ mod tests {
     }
 
     #[test]
-    fn small_inputs_fall_back_to_serial() {
+    fn small_inputs_build_as_one_arena_range() {
         // Default threshold: 40 observations over 4 workers is far below
-        // 4 × DEFAULT_MIN_OBS_PER_WORKER, so one serial "shard" runs.
+        // 4 × DEFAULT_MIN_OBS_PER_WORKER, so one arena range runs on the
+        // calling thread — as it does for any input at one worker.
         let observations: Vec<_> = (0..40)
             .map(|i| obs("tiny.com", i * 7, 1, 100, "GR", 1))
             .collect();
         let b = builder();
-        let (maps, stats) = b.build_sharded_stats(&observations, 4);
-        assert_eq!(maps, b.build(&observations));
-        assert_eq!(stats.len(), 1);
-        assert_eq!(stats[0].observations, observations.len());
+        for workers in [1, 4] {
+            let (built, stats) = b.build_sharded_stats(&observations, workers);
+            assert_eq!(built, b.build(&observations));
+            assert_eq!(stats.len(), 1);
+            assert_eq!(stats[0].observations, observations.len());
+            assert!(
+                stats[0].arena_bytes > 0,
+                "the arena, not the reference, ran"
+            );
+        }
     }
 
     #[test]
@@ -1506,7 +1548,7 @@ mod tests {
                 observations.len()
             );
         }
-        assert_eq!(serial, b.build_store(&store, 3));
+        assert_eq!(serial, b.build_store_stats(&store, None, 3).0);
     }
 
     #[test]
@@ -1517,7 +1559,7 @@ mod tests {
         let b = sharded_builder();
         let serial = b.build(&observations);
         for workers in [1, 4] {
-            assert_eq!(serial, b.build_store(&store, workers));
+            assert_eq!(serial, b.build_store_stats(&store, None, workers).0);
         }
     }
 
@@ -1543,9 +1585,8 @@ mod tests {
 
     #[test]
     fn columnar_serial_fallback_never_rehydrates() {
-        // Below the per-worker threshold the columnar path must still go
-        // through the arena build (stats report its footprint, unlike the
-        // row path's reference fallback which reports 0).
+        // Below the per-worker threshold the columnar path still goes
+        // through the arena build (stats report its footprint).
         let observations: Vec<_> = (0..40)
             .map(|i| obs("tiny.com", i * 7, 1, 100, "GR", 1))
             .collect();

@@ -12,7 +12,7 @@ use crate::inspect::{
     inspect_candidate, t1_star_pass, DegradedVerdict, DetectedHijack, DetectedTarget,
     DismissReason, InspectConfig, InspectOutcome,
 };
-use crate::map::{DeploymentMap, MapBuilder};
+use crate::map::{ColSource, DeploymentMap, MapBuilder, ObsSource, RowSource};
 use crate::metrics::{self, MetricsRegistry, MetricsShard};
 use crate::observability::{PipelineTimings, StageTiming};
 use crate::pivot::{pivot_guarded, PivotConfig};
@@ -22,7 +22,7 @@ use retrodns_asdb::AsDatabase;
 use retrodns_cert::{CertId, Certificate, CrtShIndex};
 use retrodns_dns::{DnssecArchive, PassiveDns};
 use retrodns_scan::DomainObservation;
-use retrodns_store::{ObservationStore, ObservationView};
+use retrodns_store::ObservationView;
 use retrodns_types::{Day, DomainName, SourceFaults, StudyWindow};
 use serde::de::DeserializeOwned;
 use serde::{Deserialize, Serialize};
@@ -36,10 +36,10 @@ use std::time::Instant;
 pub struct AnalystInputs<'a> {
     /// Annotated per-domain scan observations (Censys CUIDS analog), in
     /// either representation: a row vector / [`retrodns_store::RowsView`]
-    /// (the correctness oracle) or a columnar
-    /// [`ObservationStore`](retrodns_store::ObservationStore). The
-    /// pipeline produces byte-identical reports for equivalent inputs in
-    /// either form.
+    /// or a columnar
+    /// [`ObservationStore`](retrodns_store::ObservationStore). Both run
+    /// through the same engines, and the pipeline produces
+    /// byte-identical reports for equivalent inputs in either form.
     pub observations: &'a dyn ObservationView,
     /// pfx2as + as2org + geolocation.
     pub asdb: &'a AsDatabase,
@@ -192,60 +192,25 @@ impl Pipeline {
         Pipeline { config }
     }
 
-    /// Stage 1–2 only: build and classify maps (exposed for experiments).
-    pub fn maps_and_patterns(
-        &self,
-        observations: &[DomainObservation],
-    ) -> (Vec<DeploymentMap>, Vec<Pattern>) {
-        let (maps, patterns, _, _) = self.maps_and_patterns_timed(observations);
-        (maps, patterns)
-    }
-
-    /// Stage 1–2 with per-stage timings.
-    fn maps_and_patterns_timed(
-        &self,
-        observations: &[DomainObservation],
-    ) -> (Vec<DeploymentMap>, Vec<Pattern>, StageTiming, StageTiming) {
-        let mut builder = MapBuilder::new(self.config.window.clone());
-        builder.link_gap_scans = self.config.link_gap_scans;
-        let t = Instant::now();
-        let maps = builder.build_parallel(observations, self.config.workers);
-        let map_timing = StageTiming::from_elapsed(t.elapsed(), observations.len());
-        let t = Instant::now();
-        let patterns = self.classify_maps(&maps);
-        let classify_timing = StageTiming::from_elapsed(t.elapsed(), maps.len());
-        (maps, patterns, map_timing, classify_timing)
-    }
-
     /// Stage 2: classify every map, in parallel contiguous chunks when
     /// `workers > 1`. Chunk results are concatenated in chunk order, so
     /// the output vector is identical to the serial one.
     pub fn classify_maps(&self, maps: &[DeploymentMap]) -> Vec<Pattern> {
-        self.classify_maps_metered(maps, &mut MetricsShard::default())
-    }
-
-    /// [`classify_maps`](Self::classify_maps) with per-worker metering:
-    /// each worker's wall time and item count land in `shard` under
-    /// `classify.worker.<i>.*`, plus a `classify.utilization` gauge
-    /// (sum of worker time over `workers × slowest`; 1.0 = perfectly
-    /// balanced chunks).
-    pub fn classify_maps_metered(
-        &self,
-        maps: &[DeploymentMap],
-        shard: &mut MetricsShard,
-    ) -> Vec<Pattern> {
-        self.classify_maps_guarded(maps, shard)
+        self.classify_maps_guarded(maps, &mut MetricsShard::default())
             .into_iter()
             .map(|p| p.expect("classify panicked"))
             .collect()
     }
 
-    /// [`classify_maps_metered`](Self::classify_maps_metered) with
-    /// per-map panic isolation: a map whose classification panics
-    /// yields `None` in its slot instead of taking its worker (and the
-    /// run) down. The pipeline quarantines `None` slots under the
-    /// `worker_panic` reason; the plain entry points above treat any
-    /// `None` as fatal, preserving their historical contract.
+    /// [`classify_maps`](Self::classify_maps) with per-worker metering
+    /// and per-map panic isolation. Each worker's wall time and item count
+    /// land in `shard` under `classify.worker.<i>.*`, plus a
+    /// `classify.utilization` gauge (sum of worker time over `workers ×
+    /// slowest`; 1.0 = perfectly balanced chunks). A map whose
+    /// classification panics yields `None` in its slot instead of taking
+    /// its worker (and the run) down; the pipeline quarantines `None`
+    /// slots under the `worker_panic` reason, while
+    /// [`classify_maps`](Self::classify_maps) treats any `None` as fatal.
     fn classify_maps_guarded(
         &self,
         maps: &[DeploymentMap],
@@ -403,9 +368,8 @@ impl Pipeline {
 
     /// [`inspect_candidates`](Self::inspect_candidates) with per-worker
     /// metering (`inspect.worker.<i>.*` gauges plus
-    /// `inspect.utilization`), mirroring
-    /// [`classify_maps_metered`](Self::classify_maps_metered).
-    pub fn inspect_candidates_metered(
+    /// `inspect.utilization`), mirroring the classify stage.
+    fn inspect_candidates_metered(
         &self,
         candidates: &[Candidate],
         inputs: &AnalystInputs,
@@ -459,56 +423,57 @@ impl Pipeline {
 
     /// Run the full pipeline.
     pub fn run(&self, inputs: &AnalystInputs) -> Report {
-        self.run_internal(inputs, None, &mut MetricsRegistry::new())
+        self.run_with(inputs, None, &mut MetricsRegistry::new())
     }
 
-    /// Run the full pipeline, recording counters, gauges, histograms and
-    /// spans into `metrics`. The returned [`Report`] is byte-identical
-    /// (as JSON) to [`Pipeline::run`] — metrics never touch report
-    /// serialization. After the run, `metrics.snapshot()` holds the full
-    /// observability picture: the `funnel.*` counters reconcile exactly
-    /// with [`Report::funnel`], `stage.*` gauges carry per-stage wall
-    /// time / items / RSS / allocation deltas, and `*.worker.*` gauges
-    /// expose shard balance.
-    pub fn run_metered(&self, inputs: &AnalystInputs, metrics: &mut MetricsRegistry) -> Report {
-        self.run_internal(inputs, None, metrics)
-    }
-
-    /// Run the full pipeline with stage checkpointing.
+    /// Run the full pipeline, optionally checkpointing, recording
+    /// counters, gauges, histograms and spans into `metrics`.
     ///
-    /// After each resumable stage (map build, classify, shortlist,
-    /// inspect) the stage output is written into `store`. If `store`
-    /// already holds a checkpoint chain valid for this configuration and
-    /// these inputs, the leading valid stages are loaded instead of
-    /// recomputed and execution restarts from the first missing or
-    /// invalid stage. The returned [`Report`] is byte-identical (as
-    /// JSON) to an uninterrupted [`Pipeline::run`] over the same inputs
-    /// — checkpointing extends the determinism guarantee of `DESIGN.md`
-    /// §6; see `core::checkpoint` for the validation rules.
+    /// The returned [`Report`] is byte-identical (as JSON) to
+    /// [`Pipeline::run`] — metrics never touch report serialization.
+    /// After the run, `metrics.snapshot()` holds the full observability
+    /// picture: the `funnel.*` counters reconcile exactly with
+    /// [`Report::funnel`], `stage.*` gauges carry per-stage wall time /
+    /// items / RSS / allocation deltas, and `*.worker.*` gauges expose
+    /// shard balance.
     ///
-    /// Checkpoint *write* failures are non-fatal (the run proceeds and
-    /// reports; only resumability is lost); a warning goes to stderr.
-    pub fn run_resumable(&self, inputs: &AnalystInputs, store: &mut CheckpointStore) -> Report {
-        self.run_internal(inputs, Some(store), &mut MetricsRegistry::new())
-    }
-
-    /// [`run_resumable`](Self::run_resumable) with metrics collection:
-    /// checkpoint load/save/invalidation events land in `metrics` under
-    /// `checkpoint.*` alongside everything [`run_metered`](Self::run_metered)
-    /// records.
-    pub fn run_resumable_metered(
-        &self,
-        inputs: &AnalystInputs,
-        store: &mut CheckpointStore,
-        metrics: &mut MetricsRegistry,
-    ) -> Report {
-        self.run_internal(inputs, Some(store), metrics)
-    }
-
-    fn run_internal(
+    /// With a `store`, after each resumable stage (map build, classify,
+    /// shortlist, inspect) the stage output is written into it. If the
+    /// store already holds a checkpoint chain valid for this
+    /// configuration and these inputs, the leading valid stages are
+    /// loaded instead of recomputed and execution restarts from the first
+    /// missing or invalid stage — still byte-identical to an
+    /// uninterrupted run (see `core::checkpoint` for the validation
+    /// rules). Load/save/invalidation events land in `metrics` under
+    /// `checkpoint.*`. Checkpoint *write* failures are non-fatal (the run
+    /// proceeds and reports; only resumability is lost); a warning goes
+    /// to stderr.
+    pub fn run_with(
         &self,
         inputs: &AnalystInputs,
         store: Option<&mut CheckpointStore>,
+        metrics: &mut MetricsRegistry,
+    ) -> Report {
+        // The one representation match: everything from stage 0 on runs
+        // monomorphized over the concrete source.
+        match inputs.observations.as_rows() {
+            Some(rows) => self.run_source(&RowSource(rows), inputs, store, metrics),
+            None => {
+                let obs_store = inputs
+                    .observations
+                    .as_store()
+                    .expect("an ObservationView exposes rows or a store");
+                self.run_source(&ColSource(obs_store.columns()), inputs, store, metrics)
+            }
+        }
+    }
+
+    /// [`run_with`](Self::run_with) over one concrete source.
+    fn run_source<S: ObsSource>(
+        &self,
+        src: &S,
+        inputs: &AnalystInputs,
+        mut store: Option<&mut CheckpointStore>,
         metrics: &mut MetricsRegistry,
     ) -> Report {
         let run_start = Instant::now();
@@ -519,7 +484,6 @@ impl Pipeline {
         // exact (config, inputs) pair; `chain_intact` tracks whether every
         // stage so far was served from a valid checkpoint — once a stage
         // misses, everything downstream is recomputed and overwritten.
-        let mut store = store;
         if let Some(s) = store.as_deref_mut() {
             s.resumed.clear();
             s.computed.clear();
@@ -532,31 +496,13 @@ impl Pipeline {
 
         // ---- stage 0: validate + quarantine ---------------------------
         // Always recomputed (cheap, and the quarantine histogram feeds the
-        // funnel even on a fully resumed run). Each input representation
-        // is validated natively: rows through [`quarantine`], a columnar
-        // store through [`quarantine_store`] (which emits a kept-row
-        // selection instead of copying records).
+        // funnel even on a fully resumed run). The survivors are a
+        // selection into the source; the observations never move.
         let span = metrics.span_open("stage.quarantine");
         let alloc0 = metrics::allocated_bytes_total();
         let t = Instant::now();
-        let (kept, quarantined) = if let Some(rows) = inputs.observations.as_rows() {
-            let (kept, quarantined) = quarantine(rows, &self.config.window, inputs.certs);
-            (KeptObs::Rows(kept), quarantined)
-        } else {
-            let obs_store = inputs
-                .observations
-                .as_store()
-                .expect("an ObservationView exposes rows or a store");
-            let (selection, quarantined) =
-                quarantine_store(obs_store, &self.config.window, inputs.certs);
-            (
-                KeptObs::Store {
-                    store: obs_store,
-                    selection,
-                },
-                quarantined,
-            )
-        };
+        let (selection, quarantined) = quarantine_source(src, &self.config.window, inputs.certs);
+        let kept_len = selection.as_ref().map_or(src.len(), Vec::len);
         stage_sample(
             metrics,
             "quarantine",
@@ -581,12 +527,8 @@ impl Pipeline {
             || {
                 let mut builder = MapBuilder::new(self.config.window.clone());
                 builder.link_gap_scans = self.config.link_gap_scans;
-                let (maps, shards) = match &kept {
-                    KeptObs::Rows(rows) => builder.build_sharded_stats(rows, self.config.workers),
-                    KeptObs::Store { store, selection } => {
-                        builder.build_store_stats(store, selection.as_deref(), self.config.workers)
-                    }
-                };
+                let (maps, shards) =
+                    builder.build_selection(src, selection.as_deref(), self.config.workers);
                 for (i, s) in shards.iter().enumerate() {
                     stage_shard.gauge(&format!("map_build.shard.{i}.items"), s.observations as f64);
                     stage_shard.gauge(&format!("map_build.shard.{i}.maps"), s.maps as f64);
@@ -608,10 +550,10 @@ impl Pipeline {
                 maps
             },
         );
-        timings.map_build = StageTiming::from_elapsed(t.elapsed(), kept.len());
+        timings.map_build = StageTiming::from_elapsed(t.elapsed(), kept_len);
         metrics.merge(ckpt_shard);
         metrics.merge(stage_shard);
-        stage_sample(metrics, "map_build", kept.len(), t.elapsed(), alloc0);
+        stage_sample(metrics, "map_build", kept_len, t.elapsed(), alloc0);
         metrics.span_close(span);
 
         // ---- stage 2: classify ----------------------------------------
@@ -1106,146 +1048,64 @@ pub fn quarantine<'a>(
     window: &StudyWindow,
     certs: &HashMap<CertId, Certificate>,
 ) -> (Cow<'a, [DomainObservation]>, BTreeMap<String, usize>) {
-    quarantine_rows(observations, window, certs)
-}
-
-/// Stage-0 output, in whichever representation the input arrived.
-enum KeptObs<'a> {
-    /// Row path: the surviving records (borrowed when the input was
-    /// already clean and sorted).
-    Rows(Cow<'a, [DomainObservation]>),
-    /// Columnar path: the store plus the kept-row selection in analysis
-    /// order. `None` means every row, already sorted — the zero-copy
-    /// fast path.
-    Store {
-        store: &'a ObservationStore,
-        selection: Option<Vec<u32>>,
-    },
-}
-
-impl KeptObs<'_> {
-    fn len(&self) -> usize {
-        match self {
-            KeptObs::Rows(rows) => rows.len(),
-            KeptObs::Store { store, selection } => {
-                selection.as_ref().map_or(store.len(), |s| s.len())
-            }
-        }
-    }
-}
-
-/// Full-`Ord` comparison of two store rows, matching the derived
-/// [`DomainObservation`] ordering field for field. Domain order is
-/// resolved through the dictionary (interned codes are first-seen, not
-/// lexicographic — equal codes short-circuit the string compare);
-/// `None` sentinels map back to `Option` ordering (`None` first) via
-/// the store's `Option` accessors; certificate order compares resolved
-/// [`CertId`] values, never dictionary codes.
-fn cmp_store_rows(s: &ObservationStore, a: usize, b: usize) -> Ordering {
-    let by_domain = if s.domain_code(a) == s.domain_code(b) {
-        Ordering::Equal
-    } else {
-        s.domain_name(a).cmp(s.domain_name(b))
+    let (selection, reasons) = quarantine_source(&RowSource(observations), window, certs);
+    let kept = match selection {
+        None => Cow::Borrowed(observations),
+        Some(sel) => Cow::Owned(
+            sel.iter()
+                .map(|&i| observations[i as usize].clone())
+                .collect(),
+        ),
     };
-    by_domain
-        .then_with(|| s.date(a).cmp(&s.date(b)))
-        .then_with(|| s.ip(a).cmp(&s.ip(b)))
-        .then_with(|| s.asn(a).cmp(&s.asn(b)))
-        .then_with(|| s.country(a).cmp(&s.country(b)))
-        .then_with(|| s.cert_id(a).cmp(&s.cert_id(b)))
-        .then_with(|| s.trusted(a).cmp(&s.trusted(b)))
+    (kept, reasons)
 }
 
-/// [`quarantine`] restated over store columns: identical reasons,
-/// identical ordering contract, but the survivors are returned as a row
-/// *selection* into the store instead of cloned records — the columns
-/// themselves never move. A clean, sorted store returns `None` (analyze
-/// every row in place) with an empty histogram.
-pub fn quarantine_store(
-    store: &ObservationStore,
+/// [`quarantine`] over any source. The survivors are returned as a
+/// *selection* — indices of the kept observations, in analysis order —
+/// instead of copied records. A clean, sorted source returns `None`
+/// (analyze every observation in place) with an empty histogram.
+fn quarantine_source<S: ObsSource>(
+    src: &S,
     window: &StudyWindow,
     certs: &HashMap<CertId, Certificate>,
 ) -> (Option<Vec<u32>>, BTreeMap<String, usize>) {
     let reject = |i: usize| -> Option<&'static str> {
-        if window.period_of(store.date(i)).is_none() {
+        if window.period_of(src.date(i)).is_none() {
             Some("out-of-window")
-        } else if store.asn(i).is_none() {
+        } else if src.asn(i).is_none() {
             Some("unrouted")
-        } else if !certs.contains_key(&store.cert_id(i)) {
+        } else if !certs.contains_key(&src.cert(i)) {
             Some("unknown-cert")
         } else {
             None
         }
     };
 
-    let n = store.len();
-    let clean = (0..n).all(|i| {
-        reject(i).is_none() && (i == 0 || cmp_store_rows(store, i - 1, i) == Ordering::Less)
-    });
+    let n = src.len();
+    let clean =
+        (0..n).all(|i| reject(i).is_none() && (i == 0 || src.cmp_full(i - 1, i) == Ordering::Less));
     if clean {
         return (None, BTreeMap::new());
     }
 
+    let n = u32::try_from(n).expect("a source fits u32 indices");
     let mut reasons: BTreeMap<String, usize> = BTreeMap::new();
-    let mut kept: Vec<u32> = Vec::with_capacity(n);
+    let mut kept: Vec<u32> = Vec::with_capacity(n as usize);
     for i in 0..n {
-        match reject(i) {
+        match reject(i as usize) {
             Some(r) => *reasons.entry(r.to_string()).or_insert(0) += 1,
-            None => kept.push(i as u32),
+            None => kept.push(i),
         }
     }
-    // Stable sort + full-order dedup, mirroring the row path's
-    // `sort` + `dedup` exactly (`Equal` under the full comparator means
-    // field-for-field identical records).
-    kept.sort_by(|&a, &b| cmp_store_rows(store, a as usize, b as usize));
+    // Stable sort + full-order dedup (`Equal` under the full comparator
+    // means field-for-field identical records).
+    kept.sort_by(|&a, &b| src.cmp_full(a as usize, b as usize));
     let before = kept.len();
-    kept.dedup_by(|a, b| cmp_store_rows(store, *a as usize, *b as usize) == Ordering::Equal);
+    kept.dedup_by(|a, b| src.cmp_full(*a as usize, *b as usize) == Ordering::Equal);
     if before > kept.len() {
         *reasons.entry("duplicate".to_string()).or_insert(0) += before - kept.len();
     }
     (Some(kept), reasons)
-}
-
-fn quarantine_rows<'a>(
-    observations: &'a [DomainObservation],
-    window: &StudyWindow,
-    certs: &HashMap<CertId, Certificate>,
-) -> (Cow<'a, [DomainObservation]>, BTreeMap<String, usize>) {
-    let reject = |o: &DomainObservation| -> Option<&'static str> {
-        if window.period_of(o.date).is_none() {
-            Some("out-of-window")
-        } else if o.asn.is_none() {
-            Some("unrouted")
-        } else if !certs.contains_key(&o.cert) {
-            Some("unknown-cert")
-        } else {
-            None
-        }
-    };
-
-    let clean = observations
-        .iter()
-        .enumerate()
-        .all(|(i, o)| reject(o).is_none() && (i == 0 || observations[i - 1] < *o));
-    if clean {
-        return (Cow::Borrowed(observations), BTreeMap::new());
-    }
-
-    let mut reasons: BTreeMap<String, usize> = BTreeMap::new();
-    let mut kept: Vec<DomainObservation> = Vec::with_capacity(observations.len());
-    for o in observations {
-        match reject(o) {
-            Some(r) => *reasons.entry(r.to_string()).or_insert(0) += 1,
-            None => kept.push(o.clone()),
-        }
-    }
-    kept.sort();
-    let before = kept.len();
-    kept.dedup();
-    if before > kept.len() {
-        *reasons.entry("duplicate".to_string()).or_insert(0) += before - kept.len();
-    }
-    (Cow::Owned(kept), reasons)
 }
 
 /// Aggregated stage-4 outcomes for a set of candidates (before the T1*

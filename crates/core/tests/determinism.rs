@@ -10,6 +10,8 @@
 //! report byte for byte, even with faulted inputs in play.
 
 use retrodns_core::checkpoint::STAGE_NAMES;
+use retrodns_core::map::MapBuilder;
+use retrodns_core::metrics::MetricsRegistry;
 use retrodns_core::pipeline::{AnalystInputs, Pipeline, PipelineConfig};
 use retrodns_core::CheckpointStore;
 use retrodns_sim::{FaultPlan, SimConfig, World};
@@ -56,12 +58,15 @@ fn maps_and_patterns_identical_across_worker_counts() {
     let observations = world.observations(&dataset);
 
     let run = |workers: usize| {
-        Pipeline::new(PipelineConfig {
+        let pipeline = Pipeline::new(PipelineConfig {
             window: world.config.window.clone(),
             workers,
             ..PipelineConfig::default()
-        })
-        .maps_and_patterns(&observations)
+        });
+        let (maps, _) = MapBuilder::new(world.config.window.clone())
+            .build_sharded_stats(&observations, workers);
+        let patterns = pipeline.classify_maps(&maps);
+        (maps, patterns)
     };
 
     let (maps1, patterns1) = run(1);
@@ -147,9 +152,13 @@ fn resumed_report_is_byte_identical_to_uninterrupted_run() {
     ));
     let _ = std::fs::remove_dir_all(&dir);
     let mut store = CheckpointStore::open(&dir).expect("open checkpoint dir");
+    let resume = |store: &mut CheckpointStore| {
+        let report = pipeline.run_with(&inputs, Some(store), &mut MetricsRegistry::new());
+        serde_json::to_string(&report).unwrap()
+    };
 
     // Full checkpointed run: everything computed, nothing resumed.
-    let full = serde_json::to_string(&pipeline.run_resumable(&inputs, &mut store)).unwrap();
+    let full = resume(&mut store);
     assert_eq!(uninterrupted, full, "checkpointing changed the report");
     assert_eq!(store.computed.len(), STAGE_NAMES.len());
 
@@ -161,7 +170,7 @@ fn resumed_report_is_byte_identical_to_uninterrupted_run() {
             std::fs::remove_file(store.payload_path(stage)).expect("delete payload");
             std::fs::remove_file(store.meta_path(stage)).expect("delete meta");
         }
-        let resumed = serde_json::to_string(&pipeline.run_resumable(&inputs, &mut store)).unwrap();
+        let resumed = resume(&mut store);
         assert_eq!(
             uninterrupted, resumed,
             "resume after stage {i} diverged from the uninterrupted run"
@@ -177,7 +186,7 @@ fn resumed_report_is_byte_identical_to_uninterrupted_run() {
     let mid = bytes.len() / 2;
     bytes[mid] ^= 0xFF;
     std::fs::write(&path, &bytes).unwrap();
-    let resumed = serde_json::to_string(&pipeline.run_resumable(&inputs, &mut store)).unwrap();
+    let resumed = resume(&mut store);
     assert_eq!(
         uninterrupted, resumed,
         "resume over a corrupted checkpoint diverged"

@@ -8,6 +8,7 @@ use retrodns_core::checkpoint::{CheckpointStore, Fingerprint};
 use retrodns_core::classify::{classify, ClassifyConfig};
 use retrodns_core::map::MapBuilder;
 use retrodns_scan::DomainObservation;
+use retrodns_store::ObservationStore;
 use retrodns_types::{Asn, Day, DomainName, Ipv4Addr, StudyWindow};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
@@ -177,16 +178,17 @@ proptest! {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
-    /// Shard-merge equivalence: the range-sharded parallel build is
-    /// byte-for-byte the serial reference for arbitrary observation
-    /// sets at every worker count 1–16 — including the degenerate
-    /// shapes (empty input, and a single domain collapsing all work
-    /// into one shard with the rest empty).
+    /// Engine equivalence: the arena map engine is byte-for-byte the
+    /// reference builder for arbitrary, unsorted observation sets at
+    /// every worker count 1–16, read from rows or from a columnar store
+    /// — including the degenerate shapes (empty input, and a single
+    /// domain collapsing all work into one shard with the rest empty).
     #[test]
     fn parallel_build_equals_serial(
         observations in prop::collection::vec(arb_observation(), 0..200),
         workers in 1usize..=16,
         single_domain in any::<bool>(),
+        as_store in any::<bool>(),
     ) {
         let mut observations = observations;
         if single_domain {
@@ -198,12 +200,23 @@ proptest! {
             }
         }
         let mut builder = MapBuilder::new(StudyWindow::default());
-        // Disable the adaptive serial fallback so small generated sets
-        // still exercise the sharded code path.
+        // Disable the adaptive single-range threshold so small generated
+        // sets still exercise the sharded code path.
         builder.min_obs_per_worker = 0;
-        let serial = builder.build(&observations);
-        let parallel = builder.build_parallel(&observations, workers);
-        prop_assert_eq!(serial, parallel, "sharded build diverged at workers={}", workers);
+        let reference = builder.build(&observations);
+        let (engine, _) = if as_store {
+            let store = ObservationStore::from_observations(&observations).unwrap();
+            builder.build_store_stats(&store, None, workers)
+        } else {
+            builder.build_sharded_stats(&observations, workers)
+        };
+        prop_assert_eq!(
+            reference,
+            engine,
+            "engine diverged at workers={} (store: {})",
+            workers,
+            as_store
+        );
     }
 
     /// A domain name never appears in a map it does not own.

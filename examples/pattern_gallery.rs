@@ -18,7 +18,7 @@ fn main() {
     for arch in all_archetypes() {
         println!("================================================================");
         println!("{}: {}", arch.label, arch.description);
-        let maps = builder.build(&arch.observations);
+        let (maps, _) = builder.build_sharded_stats(&arch.observations, 1);
         let pattern = classify(&maps[0], &cfg);
         print!("{}", render_map(&maps[0], Some(&pattern)));
         println!(

@@ -22,11 +22,11 @@ cargo clippy --workspace -- -D warnings
 echo "==> cargo fmt --check"
 cargo fmt --check
 
-echo "==> bench worker sweep (quick fixture, workers 1/2/4; 4-worker e2e gate 2.0x)"
+echo "==> bench worker sweep (quick fixture, workers 1/2/4; algorithm gate 3.0x: reference vs arena map build at 1 worker)"
 cargo run --release -p retrodns-bench --bin experiments -- --scale quick --workers 1 bench
 cargo run --release -p retrodns-bench --bin experiments -- --scale quick --workers 2 bench
 cargo run --release -p retrodns-bench --bin experiments -- --scale quick --workers 4 \
-    --min-e2e-speedup 2.0 bench
+    --min-algorithm-speedup 3.0 bench
 
 echo "==> memory trajectory (100k/1M streamed; 24 B/obs + 3.0x reduction gates)"
 cargo run --release -p retrodns-bench --bin experiments -- --max-obs 1000000 \

@@ -205,14 +205,14 @@ fn analyze(
         )?
     } else {
         match &ckpt {
-            None => pipeline.run_metered(&inputs, &mut metrics),
+            None => pipeline.run_with(&inputs, None, &mut metrics),
             Some(opts) => {
                 let mut store = retrodns::core::CheckpointStore::open(&opts.dir)
                     .map_err(|e| format!("{}: {e}", opts.dir.display()))?;
                 if !opts.resume {
                     store.clear().map_err(|e| e.to_string())?;
                 }
-                let report = pipeline.run_resumable_metered(&inputs, &mut store, &mut metrics);
+                let report = pipeline.run_with(&inputs, Some(&mut store), &mut metrics);
                 eprintln!(
                     "checkpoints in {}: resumed {:?}, computed {:?}",
                     opts.dir.display(),

@@ -11,9 +11,20 @@ fn bin() -> Command {
 
 /// The `experiments` binary (package `retrodns-bench`) lands in the same
 /// target directory as `retrodns`; `CARGO_BIN_EXE_*` only covers bins of
-/// the package under test, so locate it relative to ours. Workspace-wide
-/// `cargo test` builds every member's bins before running any test.
+/// the package under test, so locate it relative to ours. A root-package
+/// `cargo test` does not build other members' bins, so build it first
+/// (a no-op when it is up to date), in the profile of this test.
 fn experiments_exe() -> PathBuf {
+    let mut build = Command::new(env!("CARGO"));
+    build
+        .current_dir(env!("CARGO_MANIFEST_DIR"))
+        .args(["build", "--offline", "-q", "-p", "retrodns-bench"])
+        .args(["--bin", "experiments"]);
+    if !cfg!(debug_assertions) {
+        build.arg("--release");
+    }
+    let status = build.status().expect("run cargo build");
+    assert!(status.success(), "building the experiments binary failed");
     Path::new(env!("CARGO_BIN_EXE_retrodns"))
         .parent()
         .expect("bin dir")

@@ -59,8 +59,11 @@ fn metrics_reconcile_with_funnel() {
     let world = common::small_world(0xAC0);
     let observations = common::observations_of(&world);
     let mut metrics = MetricsRegistry::new();
-    let report = common::pipeline_for(&world)
-        .run_metered(&common::inputs_for(&world, &observations), &mut metrics);
+    let report = common::pipeline_for(&world).run_with(
+        &common::inputs_for(&world, &observations),
+        None,
+        &mut metrics,
+    );
     assert_eq!(
         recorded_funnel_counters(&metrics.snapshot()),
         expected_funnel_counters(&report.funnel),
@@ -78,8 +81,9 @@ fn metrics_reconcile_with_funnel_under_faults() {
     let world = common::small_world(0xAC1);
     let damaged = FaultPlan::all(0xFA_AC1).apply_world(&world);
     let mut metrics = MetricsRegistry::new();
-    let report = common::pipeline_for(&world).run_metered(
+    let report = common::pipeline_for(&world).run_with(
         &common::inputs_for(&world, &damaged.observations),
+        None,
         &mut metrics,
     );
     assert!(
@@ -108,7 +112,7 @@ fn metered_report_is_byte_identical_across_workers() {
             ..PipelineConfig::default()
         });
         let mut metrics = MetricsRegistry::new();
-        let report = pipeline.run_metered(&inputs, &mut metrics);
+        let report = pipeline.run_with(&inputs, None, &mut metrics);
         let json = serde_json::to_string_pretty(&report).expect("serializes");
         assert!(
             json == baseline_json,
@@ -132,8 +136,11 @@ fn snapshot_schema_is_deterministic() {
         let world = common::small_world(0xAC3);
         let observations = common::observations_of(&world);
         let mut metrics = MetricsRegistry::new();
-        common::pipeline_for(&world)
-            .run_metered(&common::inputs_for(&world, &observations), &mut metrics);
+        common::pipeline_for(&world).run_with(
+            &common::inputs_for(&world, &observations),
+            None,
+            &mut metrics,
+        );
         metrics.snapshot()
     };
     let a = run();
@@ -214,7 +221,7 @@ fn checkpoint_events_are_counted() {
     let mut store = retrodns::core::CheckpointStore::open(&dir).expect("open store");
 
     let mut cold = MetricsRegistry::new();
-    let report_cold = pipeline.run_resumable_metered(&inputs, &mut store, &mut cold);
+    let report_cold = pipeline.run_with(&inputs, Some(&mut store), &mut cold);
     let cold_snap = cold.snapshot();
     for stage in ["maps", "classify", "shortlist", "inspect"] {
         assert_eq!(
@@ -230,7 +237,7 @@ fn checkpoint_events_are_counted() {
     );
 
     let mut warm = MetricsRegistry::new();
-    let report_warm = pipeline.run_resumable_metered(&inputs, &mut store, &mut warm);
+    let report_warm = pipeline.run_with(&inputs, Some(&mut store), &mut warm);
     let warm_snap = warm.snapshot();
     for stage in ["maps", "classify", "shortlist", "inspect"] {
         assert_eq!(

@@ -88,7 +88,7 @@ fn parallel_map_building_agrees_with_serial() {
     let observations = observations_of(&world);
     let builder = MapBuilder::new(world.config.window.clone());
     let serial = builder.build(&observations);
-    let parallel = builder.build_parallel(&observations, 4);
+    let (parallel, _) = builder.build_sharded_stats(&observations, 4);
     assert_eq!(serial, parallel);
 }
 
