@@ -168,7 +168,6 @@ fn run_cell(
             dnssec: Some(&world.dnssec),
             source_faults: cell.source_faults,
         },
-        None,
         &mut metrics,
     );
     let quarantined: usize = report.funnel.quarantined.values().sum();

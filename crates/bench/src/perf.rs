@@ -503,7 +503,7 @@ pub fn bench_pipeline(bundle: &Bundle, workers: usize, reps: usize) -> PipelineB
     let plain_ms = time_ms(overhead_reps, || parallel.run(&inputs));
     let metered_ms = time_ms(overhead_reps, || {
         let mut metrics = MetricsRegistry::new();
-        parallel.run_with(&inputs, None, &mut metrics)
+        parallel.run_with(&inputs, &mut metrics)
     });
     let metrics_overhead_raw_pct = if plain_ms > 0.0 {
         (metered_ms - plain_ms) / plain_ms * 100.0

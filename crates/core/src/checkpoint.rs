@@ -1,32 +1,35 @@
-//! Checkpointed pipeline execution.
+//! Checkpoints for the streaming analyzer.
 //!
-//! The pipeline runs over years of longitudinal data; at production scale
-//! a crash (or an operator interrupt) partway through a run should not
-//! forfeit the stages already computed. After each resumable stage —
-//! map building, classification, shortlisting, inspection —
-//! [`Pipeline::run_with`](crate::pipeline::Pipeline::run_with), given a
-//! [`CheckpointStore`], serializes the stage output into the store's
-//! directory. A later invocation over the same configuration and inputs
-//! detects the valid checkpoint chain and restarts from the first missing
-//! or invalid stage, producing a `Report` byte-identical to an
-//! uninterrupted run (the same guarantee the worker knob gives; see
-//! `DESIGN.md` §7).
+//! There is one checkpoint format: the
+//! [`IncrementalAnalyzer`](crate::incremental::IncrementalAnalyzer)'s
+//! per-week checkpoint. After each ingested week,
+//! [`checkpoint`](crate::incremental::IncrementalAnalyzer::checkpoint)
+//! writes the quarantine-kept observation log and the analyzer state into
+//! a [`CheckpointStore`]; a killed stream
+//! [`resume`](crate::incremental::IncrementalAnalyzer::resume)s from the
+//! last completed week and still produces a `Report` byte-identical to an
+//! uninterrupted run (see `DESIGN.md` §7 and §11). A batch
+//! [`Pipeline::run`](crate::pipeline::Pipeline::run) writes no
+//! checkpoints: rerunning it is cheaper than loading per-stage snapshots
+//! would be.
 //!
 //! ## On-disk format
 //!
-//! Each stage writes two files into the run directory:
-//!
-//! * `stage_<name>.json` — the stage payload, plain serde JSON;
+//! * `observations/` — the log as a content-addressed columnar store: a
+//!   `manifest.json` plus `dict-<hash>.bin` / `chunk-<hash>.bin` parts
+//!   named by their content hash, so a save writes only changed parts and
+//!   deletes the ones the new manifest no longer lists;
+//! * `stage_<name>.json` — a state payload, plain serde JSON;
 //! * `stage_<name>.meta.json` — a [`StageMeta`] envelope: format version,
-//!   stage name, fingerprints of the pipeline configuration and the input
-//!   observations, and the BKDR hash of the payload bytes.
+//!   stage name, fingerprints of the pipeline configuration and the
+//!   input observations, and the BKDR hash of the payload bytes.
 //!
-//! A checkpoint is *valid* only if every envelope field matches the
-//! current run and the payload bytes hash to `payload_hash`. Any mismatch
-//! — version bump, different config, different inputs, truncated or
-//! bit-flipped payload — invalidates the stage, and chain semantics
-//! invalidate everything downstream of the first bad stage (later files
-//! are recomputed and overwritten, never trusted across a break).
+//! A state checkpoint is *valid* only if every envelope field matches
+//! and the payload bytes hash to `payload_hash`; an observation log is
+//! valid only if every part matches its manifest hash. Any mismatch —
+//! version bump, different config, different inputs, truncated or
+//! bit-flipped bytes — makes the load fail, and the caller starts over
+//! rather than trusting damaged state.
 
 use retrodns_scan::DomainObservation;
 use retrodns_store::{ObservationStore, StoreManifest};
@@ -36,13 +39,8 @@ use serde::{Deserialize, Serialize};
 use std::path::{Path, PathBuf};
 
 /// Bumped whenever a stage payload's serialized shape changes; old
-/// checkpoints are then invalid wholesale. Version 2: the classify
-/// payload became `Vec<Option<Pattern>>` (worker-panic isolation) and
-/// the shortlist/inspect payloads carry degraded-mode fields.
+/// checkpoints are then invalid wholesale.
 pub const CHECKPOINT_FORMAT_VERSION: u32 = 2;
-
-/// Resumable stage names, in execution order.
-pub const STAGE_NAMES: [&str; 4] = ["maps", "classify", "shortlist", "inspect"];
 
 /// Fingerprints binding a checkpoint to one (config, inputs) pair.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -91,7 +89,7 @@ pub fn inputs_fingerprint(observations: &[DomainObservation]) -> u64 {
 }
 
 /// Why a stage checkpoint failed validation (diagnostic; resume treats
-/// every variant the same — recompute from here on).
+/// every variant the same — start over).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum InvalidReason {
     /// Payload or meta file absent.
@@ -128,14 +126,10 @@ impl InvalidReason {
     }
 }
 
-/// A directory of stage checkpoints for one pipeline run.
+/// A checkpoint directory for one stream.
 #[derive(Debug)]
 pub struct CheckpointStore {
     dir: PathBuf,
-    /// Stages served from a valid checkpoint in the last resumable run.
-    pub resumed: Vec<String>,
-    /// Stages computed (and written) in the last resumable run.
-    pub computed: Vec<String>,
 }
 
 impl CheckpointStore {
@@ -143,11 +137,7 @@ impl CheckpointStore {
     pub fn open(dir: impl Into<PathBuf>) -> std::io::Result<CheckpointStore> {
         let dir = dir.into();
         std::fs::create_dir_all(&dir)?;
-        Ok(CheckpointStore {
-            dir,
-            resumed: Vec::new(),
-            computed: Vec::new(),
-        })
+        Ok(CheckpointStore { dir })
     }
 
     /// The directory backing this store.
@@ -155,20 +145,17 @@ impl CheckpointStore {
         &self.dir
     }
 
-    /// Remove every stage checkpoint (fresh-run semantics).
-    pub fn clear(&mut self) -> std::io::Result<()> {
-        for stage in STAGE_NAMES {
-            for path in [self.payload_path(stage), self.meta_path(stage)] {
-                match std::fs::remove_file(&path) {
-                    Ok(()) => {}
-                    Err(e) if e.kind() == std::io::ErrorKind::NotFound => {}
-                    Err(e) => return Err(e),
-                }
+    /// Remove everything the store writes — every `stage_*` file and the
+    /// observation log — so nothing from an earlier run can be resumed
+    /// (fresh-run semantics). Other files in the directory are left alone.
+    pub fn clear(&self) -> std::io::Result<()> {
+        for entry in std::fs::read_dir(&self.dir)? {
+            let entry = entry?;
+            if entry.file_name().to_string_lossy().starts_with("stage_") {
+                ignore_missing(std::fs::remove_file(entry.path()))?;
             }
         }
-        self.resumed.clear();
-        self.computed.clear();
-        Ok(())
+        ignore_missing(std::fs::remove_dir_all(self.observations_dir()))
     }
 
     /// Path of a stage's payload file.
@@ -231,30 +218,12 @@ impl CheckpointStore {
         // succeeds but the envelope write crashes, the old envelope must
         // not validate the new payload (it won't — hash mismatch — but a
         // missing envelope is the cleaner failure).
-        match std::fs::remove_file(self.meta_path(stage)) {
-            Ok(()) => {}
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => {}
-            Err(e) => return Err(e),
-        }
+        ignore_missing(std::fs::remove_file(self.meta_path(stage)))?;
         std::fs::write(self.payload_path(stage), &bytes)?;
         std::fs::write(
             self.meta_path(stage),
             serde_json::to_vec(&meta).expect("meta serializes"),
         )
-    }
-
-    /// The stages whose checkpoints currently validate against `fp`, in
-    /// chain order: stops at the first missing/invalid stage (everything
-    /// after a break is untrusted even if present on disk).
-    pub fn valid_chain(&self, fp: &Fingerprint) -> Vec<&'static str> {
-        let mut chain = Vec::new();
-        for stage in STAGE_NAMES {
-            match self.validate(stage, fp) {
-                Ok(()) => chain.push(stage),
-                Err(_) => break,
-            }
-        }
-        chain
     }
 
     /// Directory holding the content-addressed observation checkpoint.
@@ -268,79 +237,85 @@ impl CheckpointStore {
     /// re-hashing here), so a part whose file already exists is skipped
     /// without being re-serialized. A store that shares chunks with the
     /// previous checkpoint only pays for the chunks that changed; an
-    /// identical store writes nothing but the manifest.
+    /// identical store writes nothing but the manifest. Once the new
+    /// manifest is written, every part it does not list is deleted, so
+    /// the directory holds exactly the live checkpoint.
     ///
     /// Returns the number of part files actually written.
     pub fn save_observations(&self, store: &ObservationStore) -> std::io::Result<usize> {
         let dir = self.observations_dir();
         std::fs::create_dir_all(&dir)?;
         let manifest = store.manifest();
+        let parts = part_names(&manifest);
         let mut written = 0usize;
-        let dict_path = dir.join(format!("dict-{:016x}.bin", manifest.dict_hash));
-        if !dict_path.exists() {
-            std::fs::write(&dict_path, store.encode_dict())?;
-            written += 1;
-        }
-        for (c, hash) in manifest.chunk_hashes.iter().enumerate() {
-            let chunk_path = dir.join(format!("chunk-{hash:016x}.bin"));
-            if !chunk_path.exists() {
-                std::fs::write(&chunk_path, store.encode_chunk(c))?;
+        for (i, name) in parts.iter().enumerate() {
+            let path = dir.join(name);
+            if !path.exists() {
+                // Part 0 is the dictionary, part `c + 1` is chunk `c`.
+                let bytes = match i {
+                    0 => store.encode_dict(),
+                    c => store.encode_chunk(c - 1),
+                };
+                std::fs::write(&path, bytes)?;
                 written += 1;
             }
         }
         // Manifest last: a crash mid-write leaves either the previous
-        // manifest (still valid — its parts are never deleted here) or
-        // none.
+        // manifest with all of its parts, or none.
         std::fs::write(
-            dir.join("manifest.json"),
+            dir.join(MANIFEST),
             serde_json::to_vec(&manifest).expect("manifest serializes"),
         )?;
+        // Only now are the previous manifest's parts unreachable. A part
+        // that fails to delete is garbage no load ever reads.
+        for entry in std::fs::read_dir(&dir)?.flatten() {
+            let name = entry.file_name().to_string_lossy().into_owned();
+            if name != MANIFEST && !parts.contains(&name) {
+                let _ = std::fs::remove_file(entry.path());
+            }
+        }
         Ok(written)
     }
 
     /// Load the observation checkpoint written by
     /// [`save_observations`](Self::save_observations), re-verifying every
     /// part against the manifest's content hashes. Any missing, corrupt,
-    /// or undecodable part yields `None` — resume semantics are the same
-    /// as for stage checkpoints: recompute rather than trust damaged
-    /// state.
+    /// or undecodable part yields `None` — recompute rather than trust
+    /// damaged state.
     pub fn load_observations(&self) -> Option<ObservationStore> {
         let dir = self.observations_dir();
         let manifest: StoreManifest =
-            serde_json::from_slice(&std::fs::read(dir.join("manifest.json")).ok()?).ok()?;
-        let dict = std::fs::read(dir.join(format!("dict-{:016x}.bin", manifest.dict_hash))).ok()?;
-        let chunks: Vec<Vec<u8>> = manifest
-            .chunk_hashes
-            .iter()
-            .map(|hash| std::fs::read(dir.join(format!("chunk-{hash:016x}.bin"))).ok())
-            .collect::<Option<_>>()?;
+            serde_json::from_slice(&std::fs::read(dir.join(MANIFEST)).ok()?).ok()?;
+        let mut parts = part_names(&manifest)
+            .into_iter()
+            .map(|name| std::fs::read(dir.join(name)).ok());
+        let dict = parts.next()??;
+        let chunks: Vec<Vec<u8>> = parts.collect::<Option<_>>()?;
         ObservationStore::from_parts(&manifest, &dict, &chunks).ok()
     }
+}
 
-    /// Validate a stage checkpoint without deserializing its payload.
-    pub fn validate(&self, stage: &str, fp: &Fingerprint) -> Result<(), InvalidReason> {
-        let meta_bytes =
-            std::fs::read(self.meta_path(stage)).map_err(|_| InvalidReason::Missing)?;
-        let meta: StageMeta =
-            serde_json::from_slice(&meta_bytes).map_err(|_| InvalidReason::BadMeta)?;
-        if meta.version != CHECKPOINT_FORMAT_VERSION {
-            return Err(InvalidReason::Version);
-        }
-        if meta.stage != stage {
-            return Err(InvalidReason::WrongStage);
-        }
-        if meta.config_hash != fp.config {
-            return Err(InvalidReason::ConfigChanged);
-        }
-        if meta.inputs_hash != fp.inputs {
-            return Err(InvalidReason::InputsChanged);
-        }
-        let payload =
-            std::fs::read(self.payload_path(stage)).map_err(|_| InvalidReason::Missing)?;
-        if bytes_hash(&payload) != meta.payload_hash {
-            return Err(InvalidReason::Corrupt);
-        }
-        Ok(())
+/// File name of the observation log's manifest.
+const MANIFEST: &str = "manifest.json";
+
+/// File names of the parts a manifest lists: the dictionary first, then
+/// every chunk in order.
+fn part_names(manifest: &StoreManifest) -> Vec<String> {
+    std::iter::once(format!("dict-{:016x}.bin", manifest.dict_hash))
+        .chain(
+            manifest
+                .chunk_hashes
+                .iter()
+                .map(|hash| format!("chunk-{hash:016x}.bin")),
+        )
+        .collect()
+}
+
+/// Treat a missing file as already removed.
+fn ignore_missing(result: std::io::Result<()>) -> std::io::Result<()> {
+    match result {
+        Err(e) if e.kind() == std::io::ErrorKind::NotFound => Ok(()),
+        other => other,
     }
 }
 
@@ -401,6 +376,18 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
         let s = CheckpointStore::open(dir).unwrap();
         let chunk = retrodns_store::CHUNK_ROWS;
+        // The directory holds exactly the manifest and the live parts.
+        let files_are = |store: &ObservationStore| {
+            let mut on_disk: Vec<String> = std::fs::read_dir(s.observations_dir())
+                .unwrap()
+                .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
+                .collect();
+            on_disk.sort();
+            let mut live = part_names(&store.manifest());
+            live.push(MANIFEST.to_string());
+            live.sort();
+            assert_eq!(on_disk, live);
+        };
 
         // Two chunks (one full, one half): first save writes dict + both.
         let a = ObservationStore::from_observations(&rows(chunk + chunk / 2)).unwrap();
@@ -408,6 +395,7 @@ mod tests {
         // Identical store: nothing to write.
         assert_eq!(s.save_observations(&a).unwrap(), 0);
         assert_eq!(s.load_observations().unwrap(), a);
+        files_are(&a);
 
         // Grow the data: chunk 0 and the dictionary are unchanged (the
         // appended rows reuse existing domains/certs), so only the
@@ -416,6 +404,8 @@ mod tests {
         assert_eq!(b.chunk_hashes()[0], a.chunk_hashes()[0]);
         assert_eq!(s.save_observations(&b).unwrap(), 2);
         assert_eq!(s.load_observations().unwrap(), b);
+        // The replaced tail chunk is gone; the shared chunk 0 stays.
+        files_are(&b);
 
         // A damaged part is detected: the load refuses rather than
         // resuming from corrupt observations.
@@ -469,26 +459,50 @@ mod tests {
     }
 
     #[test]
-    fn chain_stops_at_first_break() {
-        let s = store();
-        s.save("maps", &fp(), &1u32).unwrap();
-        s.save("classify", &fp(), &2u32).unwrap();
-        // "shortlist" missing, "inspect" present: chain must stop at the
-        // break and never trust the stage beyond it.
-        s.save("inspect", &fp(), &4u32).unwrap();
-        assert_eq!(s.valid_chain(&fp()), vec!["maps", "classify"]);
-        let _ = std::fs::remove_dir_all(s.dir());
-    }
+    fn clear_removes_the_analyzer_checkpoint() {
+        use crate::incremental::IncrementalAnalyzer;
+        use crate::pipeline::{AnalystInputs, PipelineConfig};
+        use retrodns_sim::{SimConfig, World};
 
-    #[test]
-    fn clear_removes_all_stages() {
-        let mut s = store();
-        for stage in STAGE_NAMES {
-            s.save(stage, &fp(), &0u32).unwrap();
-        }
-        assert_eq!(s.valid_chain(&fp()).len(), 4);
+        let world = World::build(SimConfig {
+            n_domains: 200,
+            ..SimConfig::small(0xC1EA)
+        });
+        let observations = world.observations(&world.scan());
+        let inputs = AnalystInputs {
+            observations: &observations,
+            asdb: &world.geo.asdb,
+            certs: &world.certs,
+            pdns: &world.pdns,
+            crtsh: &world.crtsh,
+            dnssec: Some(&world.dnssec),
+            source_faults: None,
+        };
+        let config = PipelineConfig {
+            window: world.config.window.clone(),
+            ..PipelineConfig::default()
+        };
+        let first = observations.iter().map(|o| o.date).min().unwrap();
+        let week: Vec<_> = observations
+            .iter()
+            .filter(|o| o.date == first)
+            .cloned()
+            .collect();
+        let mut analyzer = IncrementalAnalyzer::new(config.clone());
+        analyzer.ingest_week(&week, &inputs);
+
+        let s = store();
+        analyzer.checkpoint(&s).unwrap();
+        std::fs::write(s.dir().join("report.json"), b"{}").unwrap();
+        assert!(IncrementalAnalyzer::resume(config.clone(), &s).is_some());
         s.clear().unwrap();
-        assert!(s.valid_chain(&fp()).is_empty());
+        assert!(IncrementalAnalyzer::resume(config, &s).is_none());
+        assert!(!s.observations_dir().exists(), "observation parts survived");
+        let left: Vec<String> = std::fs::read_dir(s.dir())
+            .unwrap()
+            .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
+            .collect();
+        assert_eq!(left, ["report.json"], "clear touched only stage files");
         let _ = std::fs::remove_dir_all(s.dir());
     }
 

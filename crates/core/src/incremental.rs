@@ -13,7 +13,7 @@
 //!   provably identical to relinking the full history under the stream
 //!   discipline (appended dates strictly exceed everything ingested).
 //! * **Classify** re-runs only on the dirty maps reported by the append.
-//! * **Shortlist/inspect** re-run over the updated state (they are
+//! * **Shortlist/inspect/pivot** re-run over the updated state (they are
 //!   O(maps), a small fraction of O(observations) — the repeat-period
 //!   and T1* checks are inherently cross-week, so their inputs cannot
 //!   be windowed without changing verdicts).
@@ -27,13 +27,16 @@
 //! consume. Deltas compose: replaying them over the week-0 report
 //! reconstructs the final report exactly.
 //!
-//! Persistence reuses the checkpoint/manifest layer: the kept-row
-//! observation log is saved through the content-addressed store
-//! manifest (only changed tail chunks rewrite, see
-//! [`ObservationStore::append`]) and the analyzer state is one extra
-//! checkpoint stage whose inputs-fingerprint *is* the log's, so a
-//! killed analyzer resumes mid-stream if and only if the state on disk
-//! provably matches the logged stream and configuration.
+//! Stages 3–5 run through the same tail as the batch pipeline
+//! (`Pipeline::analyze_classified`).
+//!
+//! Persistence is the system's one checkpoint format (see
+//! `core::checkpoint`): the kept-row observation log is saved through
+//! the content-addressed store manifest (only changed tail chunks
+//! rewrite, see [`ObservationStore::append`]) and the analyzer state is
+//! the [`INCREMENTAL_STAGE`] checkpoint whose inputs-fingerprint *is*
+//! the log's, so a killed analyzer resumes mid-stream if and only if the
+//! state on disk provably matches the logged stream and configuration.
 
 use crate::checkpoint::{config_fingerprint, CheckpointStore, Fingerprint};
 use crate::classify::{classify, Pattern};
@@ -41,20 +44,15 @@ use crate::inspect::{DegradedVerdict, DetectedHijack, DetectedTarget};
 use crate::map::{DeploymentMap, MapBuilder};
 use crate::metrics::MetricsRegistry;
 use crate::observability::PipelineTimings;
-use crate::pipeline::{
-    apply_shortlist_funnel, funnel_population, quarantine, AnalystInputs, FunnelStats, Pipeline,
-    PipelineConfig, Report,
-};
-use crate::shortlist::shortlist_guarded;
-use crate::sources::ResilientSource;
+use crate::pipeline::{quarantine, AnalystInputs, FunnelStats, Pipeline, PipelineConfig, Report};
 use retrodns_scan::DomainObservation;
 use retrodns_store::{DictCodes, ObservationStore, StoreBuilder};
 use retrodns_types::{Day, DomainName};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
-/// Checkpoint stage name for the analyzer state (rides alongside the
-/// batch pipeline's `maps`/`classify`/`shortlist`/`inspect` stages).
+/// Checkpoint stage name for the analyzer state. With the observation
+/// log beside it, this is the only checkpoint the system writes.
 pub const INCREMENTAL_STAGE: &str = "incremental";
 
 /// The verdict changes one ingested week introduced, relative to the
@@ -244,6 +242,15 @@ impl IncrementalAnalyzer {
         self.weeks
     }
 
+    /// Fingerprint of the observation log: the quarantine-kept rows of
+    /// every ingested batch, in order, as
+    /// [`retrodns_store::rows_fingerprint`] defines it. A caller resuming
+    /// over a data set compares it against that data's first
+    /// [`weeks`](Self::weeks) batches to check the checkpoint is theirs.
+    pub fn log_fingerprint(&self) -> u64 {
+        self.log.fingerprint()
+    }
+
     /// Latest scan date ingested, if any.
     pub fn last_date(&self) -> Option<Day> {
         self.last_date
@@ -263,8 +270,8 @@ impl IncrementalAnalyzer {
     }
 
     /// [`ingest_week`](Self::ingest_week) recording per-ingest metrics
-    /// (classification counts, T1*/pivot counters, source guard
-    /// tallies) into `metrics`.
+    /// into `metrics`: the `stage.{shortlist,inspect,pivot}` spans and
+    /// samples, T1*/pivot counters, and source guard tallies.
     pub fn ingest_week_metered(
         &mut self,
         week: &[DomainObservation],
@@ -310,23 +317,14 @@ impl IncrementalAnalyzer {
         // repeat-period shortlist checks and the T1* confirmed-IP pass
         // are cross-week by construction, so their inputs cannot shrink
         // without changing verdicts.
-        let mut funnel = funnel_population(&self.maps, &self.patterns, self.quarantined.clone());
-        let mut as2org = ResilientSource::new(inputs.asdb, cfg.sources, inputs.source_faults);
-        let shortlisted = shortlist_guarded(
+        let report = self.pipeline.analyze_classified(
             &self.maps,
             &self.patterns,
-            &mut as2org,
-            inputs.certs,
-            &cfg.shortlist,
+            self.quarantined.clone(),
+            inputs,
+            metrics,
+            &mut PipelineTimings::default(),
         );
-        apply_shortlist_funnel(&mut funnel, &shortlisted);
-        let inspected = self
-            .pipeline
-            .inspect_candidates(&shortlisted.candidates, inputs);
-        let mut timings = PipelineTimings::default();
-        let report = self
-            .pipeline
-            .finish_report(inputs, funnel, inspected, metrics, &mut timings);
 
         let delta = WeekDelta::between(self.weeks, date, &self.report, &report);
         self.report = report;

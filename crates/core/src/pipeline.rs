@@ -6,7 +6,6 @@
 //! detected hijacks (Table 2), detected targets (Table 3), and the full
 //! funnel accounting (§4.2–4.5) the experiments reproduce.
 
-use crate::checkpoint::{config_fingerprint, CheckpointStore, Fingerprint};
 use crate::classify::{classify, ClassifyConfig, Pattern};
 use crate::inspect::{
     inspect_candidate, t1_star_pass, DegradedVerdict, DetectedHijack, DetectedTarget,
@@ -24,7 +23,6 @@ use retrodns_dns::{DnssecArchive, PassiveDns};
 use retrodns_scan::DomainObservation;
 use retrodns_store::ObservationView;
 use retrodns_types::{Day, DomainName, SourceFaults, StudyWindow};
-use serde::de::DeserializeOwned;
 use serde::{Deserialize, Serialize};
 use std::borrow::Cow;
 use std::cmp::Ordering;
@@ -423,11 +421,11 @@ impl Pipeline {
 
     /// Run the full pipeline.
     pub fn run(&self, inputs: &AnalystInputs) -> Report {
-        self.run_with(inputs, None, &mut MetricsRegistry::new())
+        self.run_with(inputs, &mut MetricsRegistry::new())
     }
 
-    /// Run the full pipeline, optionally checkpointing, recording
-    /// counters, gauges, histograms and spans into `metrics`.
+    /// Run the full pipeline, recording counters, gauges, histograms and
+    /// spans into `metrics`.
     ///
     /// The returned [`Report`] is byte-identical (as JSON) to
     /// [`Pipeline::run`] — metrics never touch report serialization.
@@ -436,34 +434,17 @@ impl Pipeline {
     /// [`Report::funnel`], `stage.*` gauges carry per-stage wall time /
     /// items / RSS / allocation deltas, and `*.worker.*` gauges expose
     /// shard balance.
-    ///
-    /// With a `store`, after each resumable stage (map build, classify,
-    /// shortlist, inspect) the stage output is written into it. If the
-    /// store already holds a checkpoint chain valid for this
-    /// configuration and these inputs, the leading valid stages are
-    /// loaded instead of recomputed and execution restarts from the first
-    /// missing or invalid stage — still byte-identical to an
-    /// uninterrupted run (see `core::checkpoint` for the validation
-    /// rules). Load/save/invalidation events land in `metrics` under
-    /// `checkpoint.*`. Checkpoint *write* failures are non-fatal (the run
-    /// proceeds and reports; only resumability is lost); a warning goes
-    /// to stderr.
-    pub fn run_with(
-        &self,
-        inputs: &AnalystInputs,
-        store: Option<&mut CheckpointStore>,
-        metrics: &mut MetricsRegistry,
-    ) -> Report {
+    pub fn run_with(&self, inputs: &AnalystInputs, metrics: &mut MetricsRegistry) -> Report {
         // The one representation match: everything from stage 0 on runs
         // monomorphized over the concrete source.
         match inputs.observations.as_rows() {
-            Some(rows) => self.run_source(&RowSource(rows), inputs, store, metrics),
+            Some(rows) => self.run_source(&RowSource(rows), inputs, metrics),
             None => {
                 let obs_store = inputs
                     .observations
                     .as_store()
                     .expect("an ObservationView exposes rows or a store");
-                self.run_source(&ColSource(obs_store.columns()), inputs, store, metrics)
+                self.run_source(&ColSource(obs_store.columns()), inputs, metrics)
             }
         }
     }
@@ -473,31 +454,15 @@ impl Pipeline {
         &self,
         src: &S,
         inputs: &AnalystInputs,
-        mut store: Option<&mut CheckpointStore>,
         metrics: &mut MetricsRegistry,
     ) -> Report {
         let run_start = Instant::now();
         let run_span = metrics.span_open("pipeline.run");
         let mut timings = PipelineTimings::default();
 
-        // Checkpoint context: fingerprints bind stage snapshots to this
-        // exact (config, inputs) pair; `chain_intact` tracks whether every
-        // stage so far was served from a valid checkpoint — once a stage
-        // misses, everything downstream is recomputed and overwritten.
-        if let Some(s) = store.as_deref_mut() {
-            s.resumed.clear();
-            s.computed.clear();
-        }
-        let fp = store.as_ref().map(|_| Fingerprint {
-            config: config_fingerprint(&self.config),
-            inputs: inputs.observations.fingerprint(),
-        });
-        let mut chain_intact = store.is_some();
-
         // ---- stage 0: validate + quarantine ---------------------------
-        // Always recomputed (cheap, and the quarantine histogram feeds the
-        // funnel even on a fully resumed run). The survivors are a
-        // selection into the source; the observations never move.
+        // The survivors are a selection into the source; the
+        // observations never move.
         let span = metrics.span_open("stage.quarantine");
         let alloc0 = metrics::allocated_bytes_total();
         let t = Instant::now();
@@ -515,43 +480,31 @@ impl Pipeline {
         // ---- stage 1: deployment maps ---------------------------------
         let span = metrics.span_open("stage.map_build");
         let alloc0 = metrics::allocated_bytes_total();
-        let mut ckpt_shard = MetricsShard::default();
-        let mut stage_shard = MetricsShard::default();
         let t = Instant::now();
-        let maps: Vec<DeploymentMap> = run_stage(
-            &mut store,
-            fp.as_ref(),
-            &mut chain_intact,
-            "maps",
-            &mut ckpt_shard,
-            || {
-                let mut builder = MapBuilder::new(self.config.window.clone());
-                builder.link_gap_scans = self.config.link_gap_scans;
-                let (maps, shards) =
-                    builder.build_selection(src, selection.as_deref(), self.config.workers);
-                for (i, s) in shards.iter().enumerate() {
-                    stage_shard.gauge(&format!("map_build.shard.{i}.items"), s.observations as f64);
-                    stage_shard.gauge(&format!("map_build.shard.{i}.maps"), s.maps as f64);
-                    stage_shard.gauge(
-                        &format!("map_build.shard.{i}.arena_bytes"),
-                        s.arena_bytes as f64,
-                    );
-                    stage_shard.observe("map_build.shard_items", s.observations as f64);
-                }
-                let max = shards.iter().map(|s| s.observations).max().unwrap_or(0);
-                if max > 0 {
-                    let mean = shards.iter().map(|s| s.observations).sum::<usize>() as f64
-                        / shards.len() as f64;
-                    stage_shard.gauge("map_build.shard_balance", mean / max as f64);
-                }
-                let worker_stats: Vec<(usize, std::time::Duration)> =
-                    shards.iter().map(|s| (s.observations, s.wall)).collect();
-                stage_shard.record_worker_stats("map_build", &worker_stats);
-                maps
-            },
-        );
+        let mut builder = MapBuilder::new(self.config.window.clone());
+        builder.link_gap_scans = self.config.link_gap_scans;
+        let (maps, shards) =
+            builder.build_selection(src, selection.as_deref(), self.config.workers);
         timings.map_build = StageTiming::from_elapsed(t.elapsed(), kept_len);
-        metrics.merge(ckpt_shard);
+        let mut stage_shard = MetricsShard::default();
+        for (i, s) in shards.iter().enumerate() {
+            stage_shard.gauge(&format!("map_build.shard.{i}.items"), s.observations as f64);
+            stage_shard.gauge(&format!("map_build.shard.{i}.maps"), s.maps as f64);
+            stage_shard.gauge(
+                &format!("map_build.shard.{i}.arena_bytes"),
+                s.arena_bytes as f64,
+            );
+            stage_shard.observe("map_build.shard_items", s.observations as f64);
+        }
+        let max = shards.iter().map(|s| s.observations).max().unwrap_or(0);
+        if max > 0 {
+            let mean =
+                shards.iter().map(|s| s.observations).sum::<usize>() as f64 / shards.len() as f64;
+            stage_shard.gauge("map_build.shard_balance", mean / max as f64);
+        }
+        let worker_stats: Vec<(usize, std::time::Duration)> =
+            shards.iter().map(|s| (s.observations, s.wall)).collect();
+        stage_shard.record_worker_stats("map_build", &worker_stats);
         metrics.merge(stage_shard);
         stage_sample(metrics, "map_build", kept_len, t.elapsed(), alloc0);
         metrics.span_close(span);
@@ -559,19 +512,10 @@ impl Pipeline {
         // ---- stage 2: classify ----------------------------------------
         let span = metrics.span_open("stage.classify");
         let alloc0 = metrics::allocated_bytes_total();
-        let mut ckpt_shard = MetricsShard::default();
         let mut stage_shard = MetricsShard::default();
         let t = Instant::now();
-        let patterns: Vec<Option<Pattern>> = run_stage(
-            &mut store,
-            fp.as_ref(),
-            &mut chain_intact,
-            "classify",
-            &mut ckpt_shard,
-            || self.classify_maps_guarded(&maps, &mut stage_shard),
-        );
+        let patterns = self.classify_maps_guarded(&maps, &mut stage_shard);
         timings.classify = StageTiming::from_elapsed(t.elapsed(), maps.len());
-        metrics.merge(ckpt_shard);
         metrics.merge(stage_shard);
         stage_sample(metrics, "classify", maps.len(), t.elapsed(), alloc0);
         metrics.span_close(span);
@@ -583,67 +527,9 @@ impl Pipeline {
             *quarantined.entry("worker_panic".to_string()).or_insert(0) += classify_panics;
         }
 
-        // ---- funnel: population statistics -------------------------
-        let mut funnel = funnel_population(&maps, &patterns, quarantined);
-
-        // ---- stage 3: shortlist -------------------------------------
-        let span = metrics.span_open("stage.shortlist");
-        let alloc0 = metrics::allocated_bytes_total();
-        let mut ckpt_shard = MetricsShard::default();
-        let t = Instant::now();
-        let mut as2org =
-            ResilientSource::new(inputs.asdb, self.config.sources, inputs.source_faults);
-        let shortlisted: crate::shortlist::ShortlistOutcome = run_stage(
-            &mut store,
-            fp.as_ref(),
-            &mut chain_intact,
-            "shortlist",
-            &mut ckpt_shard,
-            || {
-                shortlist_guarded(
-                    &maps,
-                    &patterns,
-                    &mut as2org,
-                    inputs.certs,
-                    &self.config.shortlist,
-                )
-            },
-        );
-        timings.shortlist = StageTiming::from_elapsed(t.elapsed(), maps.len());
-        let mut src_shard = MetricsShard::default();
-        as2org.record(&mut src_shard);
-        metrics.merge(src_shard);
-        metrics.merge(ckpt_shard);
-        stage_sample(metrics, "shortlist", maps.len(), t.elapsed(), alloc0);
-        metrics.span_close(span);
-        apply_shortlist_funnel(&mut funnel, &shortlisted);
-
-        // ---- stage 4: inspect ----------------------------------------
-        let span = metrics.span_open("stage.inspect");
-        let alloc0 = metrics::allocated_bytes_total();
-        let mut ckpt_shard = MetricsShard::default();
-        let mut stage_shard = MetricsShard::default();
-        let t = Instant::now();
-        let inspected: InspectionResults = run_stage(
-            &mut store,
-            fp.as_ref(),
-            &mut chain_intact,
-            "inspect",
-            &mut ckpt_shard,
-            || self.inspect_candidates_metered(&shortlisted.candidates, inputs, &mut stage_shard),
-        );
-        timings.inspect = StageTiming::from_elapsed(t.elapsed(), shortlisted.candidates.len());
-        metrics.merge(ckpt_shard);
-        metrics.merge(stage_shard);
-        stage_sample(
-            metrics,
-            "inspect",
-            shortlisted.candidates.len(),
-            t.elapsed(),
-            alloc0,
-        );
-        metrics.span_close(span);
-        let mut report = self.finish_report(inputs, funnel, inspected, metrics, &mut timings);
+        // ---- stages 3–5 -----------------------------------------------
+        let mut report =
+            self.analyze_classified(&maps, &patterns, quarantined, inputs, metrics, &mut timings);
 
         timings.total_ms = run_start.elapsed().as_secs_f64() * 1e3;
         record_funnel(metrics, &report.funnel);
@@ -665,12 +551,66 @@ impl Pipeline {
         report
     }
 
-    /// The post-inspection tail of the pipeline, shared with the
-    /// incremental analyzer: T1* promotion, pivot expansion, attacker geo
-    /// backfill, degraded-mode accounting, and verdict dedup/ordering.
-    /// Returns the assembled [`Report`] with default timings (the caller
-    /// owns wall-clock bookkeeping); `timings.pivot` is filled in here.
-    pub(crate) fn finish_report(
+    /// Stages 3–5 over classified maps, shared by the batch run and the
+    /// incremental analyzer: the funnel's population statistics, the
+    /// shortlist and inspect stages (each in its `stage.*` span, with its
+    /// stage sample), then [`finish_report`](Self::finish_report). Fills
+    /// `timings.{shortlist,inspect,pivot}`; the returned [`Report`]
+    /// carries default timings. The `funnel.*` counters are left to the
+    /// caller, so a stream does not add them up week after week.
+    pub(crate) fn analyze_classified(
+        &self,
+        maps: &[DeploymentMap],
+        patterns: &[Pattern],
+        quarantined: BTreeMap<String, usize>,
+        inputs: &AnalystInputs,
+        metrics: &mut MetricsRegistry,
+        timings: &mut PipelineTimings,
+    ) -> Report {
+        let mut funnel = funnel_population(maps, patterns, quarantined);
+
+        // ---- stage 3: shortlist -------------------------------------
+        let span = metrics.span_open("stage.shortlist");
+        let alloc0 = metrics::allocated_bytes_total();
+        let t = Instant::now();
+        let mut as2org =
+            ResilientSource::new(inputs.asdb, self.config.sources, inputs.source_faults);
+        let shortlisted = shortlist_guarded(
+            maps,
+            patterns,
+            &mut as2org,
+            inputs.certs,
+            &self.config.shortlist,
+        );
+        timings.shortlist = StageTiming::from_elapsed(t.elapsed(), maps.len());
+        let mut src_shard = MetricsShard::default();
+        as2org.record(&mut src_shard);
+        metrics.merge(src_shard);
+        stage_sample(metrics, "shortlist", maps.len(), t.elapsed(), alloc0);
+        metrics.span_close(span);
+        apply_shortlist_funnel(&mut funnel, &shortlisted);
+
+        // ---- stage 4: inspect ----------------------------------------
+        let candidates = &shortlisted.candidates;
+        let span = metrics.span_open("stage.inspect");
+        let alloc0 = metrics::allocated_bytes_total();
+        let mut stage_shard = MetricsShard::default();
+        let t = Instant::now();
+        let inspected = self.inspect_candidates_metered(candidates, inputs, &mut stage_shard);
+        timings.inspect = StageTiming::from_elapsed(t.elapsed(), candidates.len());
+        metrics.merge(stage_shard);
+        stage_sample(metrics, "inspect", candidates.len(), t.elapsed(), alloc0);
+        metrics.span_close(span);
+
+        self.finish_report(inputs, funnel, inspected, metrics, timings)
+    }
+
+    /// The post-inspection tail of the pipeline: T1* promotion, pivot
+    /// expansion, attacker geo backfill, degraded-mode accounting, and
+    /// verdict dedup/ordering. Returns the assembled [`Report`] with
+    /// default timings (the caller owns wall-clock bookkeeping);
+    /// `timings.pivot` is filled in here.
+    fn finish_report(
         &self,
         inputs: &AnalystInputs,
         mut funnel: FunnelStats,
@@ -791,9 +731,8 @@ impl Pipeline {
 
 /// Seed the funnel with population statistics: per-map and worst-per-domain
 /// category histograms over the classified maps, plus the quarantine
-/// counts from stage 0. Shared by the batch pipeline and the incremental
-/// analyzer.
-pub(crate) fn funnel_population(
+/// counts from stage 0.
+fn funnel_population(
     maps: &[DeploymentMap],
     patterns: &[Pattern],
     quarantined: BTreeMap<String, usize>,
@@ -848,9 +787,8 @@ pub(crate) fn funnel_population(
 }
 
 /// Fold shortlist results into the funnel (candidate, anomalous-route and
-/// per-reason prune counts). Shared by the batch pipeline and the
-/// incremental analyzer.
-pub(crate) fn apply_shortlist_funnel(
+/// per-reason prune counts).
+fn apply_shortlist_funnel(
     funnel: &mut FunnelStats,
     shortlisted: &crate::shortlist::ShortlistOutcome,
 ) {
@@ -978,55 +916,6 @@ fn record_funnel(metrics: &mut MetricsRegistry, funnel: &FunnelStats) {
     }
 }
 
-/// Run (or resume) one checkpointable stage.
-///
-/// While the chain is intact, a valid checkpoint is loaded instead of
-/// computing; the first invalid stage breaks the chain, and every stage
-/// from there on is computed and (re)written. Without a store this is
-/// just `compute()`. Checkpoint events land in `shard`:
-/// `checkpoint.loaded.<stage>` / `checkpoint.saved.<stage>` /
-/// `checkpoint.invalid.<reason>` / `checkpoint.save_failed`.
-fn run_stage<T, F>(
-    store: &mut Option<&mut CheckpointStore>,
-    fp: Option<&Fingerprint>,
-    chain_intact: &mut bool,
-    name: &str,
-    shard: &mut MetricsShard,
-    compute: F,
-) -> T
-where
-    T: Serialize + DeserializeOwned,
-    F: FnOnce() -> T,
-{
-    let Some(s) = store.as_deref_mut() else {
-        return compute();
-    };
-    let fp = fp.expect("fingerprint accompanies store");
-    if *chain_intact {
-        match s.load::<T>(name, fp) {
-            Ok(v) => {
-                shard.count(&format!("checkpoint.loaded.{name}"), 1);
-                s.resumed.push(name.to_string());
-                return v;
-            }
-            Err(reason) => {
-                shard.count(&format!("checkpoint.invalid.{}", reason.label()), 1);
-                *chain_intact = false;
-            }
-        }
-    }
-    let v = compute();
-    match s.save(name, fp, &v) {
-        Ok(()) => shard.count(&format!("checkpoint.saved.{name}"), 1),
-        Err(e) => {
-            shard.count("checkpoint.save_failed", 1);
-            eprintln!("warning: could not write checkpoint stage '{name}': {e}");
-        }
-    }
-    s.computed.push(name.to_string());
-    v
-}
-
 /// Input validation: reject observations the pipeline cannot analyze,
 /// with a per-reason histogram, instead of panicking or silently
 /// skipping them inside the stages.
@@ -1110,9 +999,8 @@ fn quarantine_source<S: ObsSource>(
 
 /// Aggregated stage-4 outcomes for a set of candidates (before the T1*
 /// pass). Partials from parallel workers merge by concatenation, so the
-/// struct doubles as the per-chunk accumulator — and as the `inspect`
-/// stage's checkpoint payload.
-#[derive(Debug, Default, Clone, Serialize, Deserialize)]
+/// struct doubles as the per-chunk accumulator.
+#[derive(Debug, Default, Clone)]
 pub struct InspectionResults {
     /// Candidates concluded hijacked.
     pub hijacked: Vec<DetectedHijack>,
@@ -1125,11 +1013,9 @@ pub struct InspectionResults {
     pub dismissed_stale: usize,
     /// Candidates whose verdict degraded: a corroboration source stayed
     /// unavailable past its retry budget.
-    #[serde(default)]
     pub degraded: Vec<DegradedVerdict>,
     /// Candidates skipped because their inspection panicked; the
     /// pipeline quarantines them under `worker_panic`.
-    #[serde(default)]
     pub worker_panics: usize,
 }
 

@@ -147,7 +147,7 @@ impl Default for ShortlistConfig {
 }
 
 /// The shortlist result: survivors plus a full prune audit trail.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct ShortlistOutcome {
     /// Candidates that survived all heuristics.
     pub candidates: Vec<Candidate>,

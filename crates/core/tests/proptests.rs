@@ -169,10 +169,7 @@ proptest! {
             if truncate { "truncation" } else { "bit flip" },
             bytes.len(),
         );
-        // The invalid stage breaks the chain, so a resumed run
-        // recomputes from scratch...
-        prop_assert!(store.valid_chain(&fp).is_empty());
-        // ...and re-saving restores a loadable checkpoint.
+        // Re-saving restores a loadable checkpoint.
         store.save("maps", &fp, &payload).expect("re-save");
         prop_assert_eq!(store.load::<Vec<u64>>("maps", &fp).unwrap(), payload);
         let _ = std::fs::remove_dir_all(&dir);

@@ -16,6 +16,9 @@ cargo test -q --test metrics
 echo "==> cargo test --test streaming_equivalence (week-at-a-time == batch, byte-identical)"
 cargo test -q --release --test streaming_equivalence
 
+echo "==> perfbench smoke test (the benchmark builds against crates/ by path)"
+cargo test --offline --release --manifest-path perfbench/Cargo.toml
+
 echo "==> cargo clippy --workspace -- -D warnings"
 cargo clippy --workspace -- -D warnings
 

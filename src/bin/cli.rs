@@ -2,8 +2,8 @@
 //!
 //! ```text
 //! retrodns simulate --out DIR [--seed N] [--domains N]   write a world's data sets as JSON
-//! retrodns analyze  --data DIR [--dnssec-signal] [--score] [--stream]
-//!                   [--checkpoint-dir DIR [--resume]]    run the pipeline over them
+//! retrodns analyze  --data DIR [--dnssec-signal] [--score]
+//!                   [--stream [--checkpoint-dir DIR [--resume]]]   run the pipeline over them
 //!                   [--metrics-out PATH [--metrics-format json|prom]] [--trace]
 //!                   [--source-deadline-ms N] [--source-retries N] [--allow-degraded]
 //! retrodns info     --data DIR                            summarize the data sets
@@ -17,14 +17,15 @@
 
 use retrodns::core::inspect::InspectConfig;
 use retrodns::core::metrics::{CountingAlloc, MetricsRegistry};
-use retrodns::core::pipeline::{AnalystInputs, Pipeline, PipelineConfig};
+use retrodns::core::pipeline::{quarantine, AnalystInputs, Pipeline, PipelineConfig, Report};
 use retrodns::core::report::{render_table2, render_table3, DomainInfo};
 use retrodns::core::score_detection;
-use retrodns::core::{DirLock, IncrementalAnalyzer, SourcePolicy};
+use retrodns::core::{CheckpointStore, DirLock, IncrementalAnalyzer, SourcePolicy};
+use retrodns::scan::DomainObservation;
 use retrodns::serve::JobData;
 use retrodns::sim::{DomainMeta, SimConfig, World};
-use retrodns::types::DomainName;
-use std::collections::HashMap;
+use retrodns::types::{Day, DomainName};
+use std::collections::{BTreeMap, HashMap};
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
@@ -117,11 +118,12 @@ fn load_data(dir: &Path) -> Result<LoadedData, String> {
     })
 }
 
-/// Checkpointing options for `analyze`.
+/// Checkpointing options for `analyze --stream`.
 struct CheckpointOpts {
-    /// Stage-snapshot directory (`--checkpoint-dir`).
+    /// Per-week checkpoint directory (`--checkpoint-dir`).
     dir: PathBuf,
-    /// Reuse a valid checkpoint chain instead of clearing it (`--resume`).
+    /// Pick the stream up from a valid checkpoint instead of clearing it
+    /// (`--resume`).
     resume: bool,
 }
 
@@ -183,7 +185,7 @@ fn analyze(
     });
     let inputs = data.inputs(&observations);
     // A checkpoint dir is exclusive for the duration of the run: two
-    // processes interleaving stage snapshots would corrupt both. The
+    // processes interleaving weekly checkpoints would corrupt both. The
     // lock is PID+heartbeat based, so a SIGKILLed run goes stale and is
     // taken over rather than wedging the directory forever.
     let _lock = match &ckpt {
@@ -204,29 +206,7 @@ fn analyze(
             &mut metrics,
         )?
     } else {
-        match &ckpt {
-            None => pipeline.run_with(&inputs, None, &mut metrics),
-            Some(opts) => {
-                let mut store = retrodns::core::CheckpointStore::open(&opts.dir)
-                    .map_err(|e| format!("{}: {e}", opts.dir.display()))?;
-                if !opts.resume {
-                    store.clear().map_err(|e| e.to_string())?;
-                }
-                let report = pipeline.run_with(&inputs, Some(&mut store), &mut metrics);
-                eprintln!(
-                    "checkpoints in {}: resumed {:?}, computed {:?}",
-                    opts.dir.display(),
-                    store.resumed,
-                    store.computed
-                );
-                // Archive the report beside the stage snapshots: the
-                // artifact a resumed run must reproduce byte-for-byte.
-                let json = serde_json::to_string_pretty(&report).expect("report serializes");
-                let path = opts.dir.join("report.json");
-                std::fs::write(&path, json).map_err(|e| format!("{}: {e}", path.display()))?;
-                report
-            }
-        }
+        pipeline.run_with(&inputs, &mut metrics)
     };
     if let Some(path) = &metrics_opts.out {
         let snapshot = metrics.snapshot();
@@ -317,22 +297,19 @@ fn analyze(
 /// the final report is byte-identical to the batch run either way.
 fn stream_analyze(
     pipeline: &Pipeline,
-    observations: &[retrodns::scan::DomainObservation],
+    observations: &[DomainObservation],
     inputs: &AnalystInputs,
     ckpt: &Option<CheckpointOpts>,
     lock: Option<&DirLock>,
     metrics: &mut MetricsRegistry,
-) -> Result<retrodns::core::pipeline::Report, String> {
-    use std::collections::BTreeMap;
-
-    let mut by_date: BTreeMap<retrodns::types::Day, Vec<retrodns::scan::DomainObservation>> =
-        BTreeMap::new();
+) -> Result<Report, String> {
+    let mut by_date: BTreeMap<Day, Vec<DomainObservation>> = BTreeMap::new();
     for o in observations {
         by_date.entry(o.date).or_default().push(o.clone());
     }
     let store = match ckpt {
         Some(opts) => {
-            let mut store = retrodns::core::CheckpointStore::open(&opts.dir)
+            let store = CheckpointStore::open(&opts.dir)
                 .map_err(|e| format!("checkpoint dir {}: {e}", opts.dir.display()))?;
             if !opts.resume {
                 store
@@ -344,11 +321,22 @@ fn stream_analyze(
         None => None,
     };
     let resumable = ckpt.as_ref().is_some_and(|o| o.resume);
-    let mut analyzer = store
+    let resumed = store
         .as_ref()
         .filter(|_| resumable)
-        .and_then(|s| IncrementalAnalyzer::resume(pipeline.config.clone(), s))
-        .unwrap_or_else(|| IncrementalAnalyzer::new(pipeline.config.clone()));
+        .and_then(|s| IncrementalAnalyzer::resume(pipeline.config.clone(), s));
+    let mut analyzer = match resumed {
+        Some(a) if holds_first_batches(&a, &by_date, pipeline, inputs) => a,
+        Some(_) => {
+            eprintln!(
+                "warning: the checkpoint in {} was written over different data; \
+                 starting the stream afresh",
+                ckpt.as_ref().expect("resume implies ckpt").dir.display()
+            );
+            IncrementalAnalyzer::new(pipeline.config.clone())
+        }
+        None => IncrementalAnalyzer::new(pipeline.config.clone()),
+    };
     if analyzer.weeks() > 0 {
         eprintln!(
             "resumed from checkpoint: {} weeks already ingested",
@@ -397,13 +385,39 @@ fn stream_analyze(
     eprintln!("streamed {total} weeks");
     let report = analyzer.report().clone();
     if let Some(opts) = ckpt {
-        // Same archive the batch checkpoint path writes: the artifact a
+        // Archive the report beside the checkpoint: the artifact a
         // resumed stream must reproduce byte-for-byte.
         let json = serde_json::to_string_pretty(&report).expect("report serializes");
         let path = opts.dir.join("report.json");
         std::fs::write(&path, json).map_err(|e| format!("{}: {e}", path.display()))?;
     }
     Ok(report)
+}
+
+/// Did `analyzer` ingest exactly the first [`IncrementalAnalyzer::weeks`]
+/// batches of this data? Its log must fingerprint like those batches'
+/// quarantine-kept rows, and its quarantine histogram must match theirs.
+fn holds_first_batches(
+    analyzer: &IncrementalAnalyzer,
+    by_date: &BTreeMap<Day, Vec<DomainObservation>>,
+    pipeline: &Pipeline,
+    inputs: &AnalystInputs,
+) -> bool {
+    let weeks = analyzer.weeks() as usize;
+    if weeks > by_date.len() {
+        return false;
+    }
+    let mut kept_rows = Vec::new();
+    let mut rejected: BTreeMap<String, usize> = BTreeMap::new();
+    for batch in by_date.values().take(weeks) {
+        let (kept, reasons) = quarantine(batch, &pipeline.config.window, inputs.certs);
+        kept_rows.extend_from_slice(&kept);
+        for (reason, n) in reasons {
+            *rejected.entry(reason).or_insert(0) += n;
+        }
+    }
+    retrodns::store::rows_fingerprint(&kept_rows) == analyzer.log_fingerprint()
+        && rejected == analyzer.report().funnel.quarantined
 }
 
 fn info(dir: &Path) -> Result<(), String> {
@@ -429,7 +443,7 @@ fn info(dir: &Path) -> Result<(), String> {
 }
 
 fn usage() -> &'static str {
-    "usage:\n  retrodns simulate --out DIR [--seed N] [--domains N]\n  retrodns analyze --data DIR [--dnssec-signal] [--score] [--stream] [--checkpoint-dir DIR [--resume]]\n                   [--metrics-out PATH [--metrics-format json|prom]] [--trace]\n                   [--source-deadline-ms N] [--source-retries N] [--allow-degraded]\n  retrodns info --data DIR"
+    "usage:\n  retrodns simulate --out DIR [--seed N] [--domains N]\n  retrodns analyze --data DIR [--dnssec-signal] [--score] [--stream [--checkpoint-dir DIR [--resume]]]\n                   [--metrics-out PATH [--metrics-format json|prom]] [--trace]\n                   [--source-deadline-ms N] [--source-retries N] [--allow-degraded]\n  retrodns info --data DIR"
 }
 
 fn main() -> ExitCode {
@@ -524,7 +538,13 @@ fn main() -> ExitCode {
         },
         "analyze" => match data {
             Some(dir) => {
-                if resume && checkpoint_dir.is_none() {
+                if (resume || checkpoint_dir.is_some()) && !stream {
+                    Err(
+                        "--checkpoint-dir and --resume need --stream: only the streaming \
+                         analyzer checkpoints (a batch run is simply rerun)"
+                            .into(),
+                    )
+                } else if resume && checkpoint_dir.is_none() {
                     Err("--resume requires --checkpoint-dir DIR".into())
                 } else {
                     let ckpt = checkpoint_dir.map(|dir| CheckpointOpts { dir, resume });

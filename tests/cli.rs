@@ -1,5 +1,5 @@
 //! End-to-end test of the `retrodns` CLI: simulate → info → analyze
-//! --score over a temp directory, plus the checkpoint/resume flags and
+//! --score over a temp directory, plus the stream checkpoint/resume flags and
 //! the `experiments` harness's machine-readable outputs.
 
 use std::path::{Path, PathBuf};
@@ -97,98 +97,29 @@ fn simulate_analyze_roundtrip() {
 }
 
 #[test]
-fn analyze_checkpoint_resume_is_byte_identical() {
-    let base = temp_dir("ckpt");
+fn analyze_checkpoint_without_stream_is_a_usage_error() {
+    let base = temp_dir("ckpt-usage");
     let data = base.join("data");
     let ckpt = base.join("checkpoints");
 
-    let out = bin()
-        .args(["simulate", "--out"])
-        .arg(&data)
-        .args(["--seed", "7", "--domains", "1500"])
-        .output()
-        .expect("run simulate");
-    assert!(
-        out.status.success(),
-        "{}",
-        String::from_utf8_lossy(&out.stderr)
-    );
-
-    // Full checkpointed run: every stage computed, snapshots + report
-    // archived in the checkpoint directory.
-    let out = bin()
-        .args(["analyze", "--data"])
-        .arg(&data)
-        .arg("--checkpoint-dir")
-        .arg(&ckpt)
-        .output()
-        .expect("run analyze");
-    assert!(
-        out.status.success(),
-        "{}",
-        String::from_utf8_lossy(&out.stderr)
-    );
-    for stage in ["maps", "classify", "shortlist", "inspect"] {
-        assert!(
-            ckpt.join(format!("stage_{stage}.json")).exists(),
-            "stage_{stage}.json missing"
-        );
-        assert!(
-            ckpt.join(format!("stage_{stage}.meta.json")).exists(),
-            "stage_{stage}.meta.json missing"
-        );
+    // Only the streaming analyzer checkpoints: a batch run is rerun.
+    for resume in [false, true] {
+        let mut cmd = bin();
+        cmd.args(["analyze", "--data"])
+            .arg(&data)
+            .arg("--checkpoint-dir")
+            .arg(&ckpt);
+        if resume {
+            cmd.arg("--resume");
+        }
+        let out = cmd
+            .output()
+            .expect("run analyze --checkpoint-dir without --stream");
+        assert!(!out.status.success());
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.contains("--stream"), "{stderr}");
     }
-    let full_report = std::fs::read(ckpt.join("report.json")).expect("report.json");
-
-    // Emulate a crash after the classify stage: the last two stage
-    // snapshots never made it to disk.
-    for stage in ["shortlist", "inspect"] {
-        std::fs::remove_file(ckpt.join(format!("stage_{stage}.json"))).unwrap();
-        std::fs::remove_file(ckpt.join(format!("stage_{stage}.meta.json"))).unwrap();
-    }
-
-    let out = bin()
-        .args(["analyze", "--data"])
-        .arg(&data)
-        .arg("--checkpoint-dir")
-        .arg(&ckpt)
-        .arg("--resume")
-        .output()
-        .expect("run analyze --resume");
-    assert!(
-        out.status.success(),
-        "{}",
-        String::from_utf8_lossy(&out.stderr)
-    );
-    let stderr = String::from_utf8_lossy(&out.stderr);
-    assert!(
-        stderr.contains("resumed [\"maps\", \"classify\"]"),
-        "expected resume from the checkpoint chain: {stderr}"
-    );
-    let resumed_report = std::fs::read(ckpt.join("report.json")).expect("report.json");
-    assert!(
-        full_report == resumed_report,
-        "resumed report is not byte-identical to the uninterrupted run"
-    );
-
-    // Resuming an intact chain loads all four stages and still
-    // reproduces the same report.
-    let out = bin()
-        .args(["analyze", "--data"])
-        .arg(&data)
-        .arg("--checkpoint-dir")
-        .arg(&ckpt)
-        .arg("--resume")
-        .output()
-        .expect("run analyze --resume again");
-    assert!(out.status.success());
-    let stderr = String::from_utf8_lossy(&out.stderr);
-    assert!(
-        stderr.contains("resumed [\"maps\", \"classify\", \"shortlist\", \"inspect\"]"),
-        "expected a fully resumed chain: {stderr}"
-    );
-    let resumed_again = std::fs::read(ckpt.join("report.json")).expect("report.json");
-    assert!(full_report == resumed_again);
+    assert!(!ckpt.exists(), "a rejected run touched the checkpoint dir");
 
     // --resume without --checkpoint-dir is a usage error.
     let out = bin()
@@ -198,6 +129,104 @@ fn analyze_checkpoint_resume_is_byte_identical() {
         .output()
         .expect("run analyze --resume without dir");
     assert!(!out.status.success());
+    let out = bin()
+        .args(["analyze", "--data"])
+        .arg(&data)
+        .args(["--stream", "--resume"])
+        .output()
+        .expect("run analyze --stream --resume without dir");
+    assert!(!out.status.success());
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("--checkpoint-dir"), "{stderr}");
+
+    let _ = std::fs::remove_dir_all(&base);
+}
+
+#[test]
+fn analyze_stream_resume_over_different_data_starts_fresh() {
+    let base = temp_dir("ckpt-foreign");
+    let simulate = |name: &str, seed: &str| {
+        let dir = base.join(name);
+        let out = bin()
+            .args(["simulate", "--out"])
+            .arg(&dir)
+            .args(["--seed", seed, "--domains", "400"])
+            .output()
+            .expect("run simulate");
+        assert!(
+            out.status.success(),
+            "{}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        dir
+    };
+    let stream = |data: &Path, ckpt: &Path, resume: bool| {
+        let mut cmd = bin();
+        cmd.args(["analyze", "--data"])
+            .arg(data)
+            .arg("--stream")
+            .arg("--checkpoint-dir")
+            .arg(ckpt);
+        if resume {
+            cmd.arg("--resume");
+        }
+        let out = cmd.output().expect("run analyze --stream");
+        assert!(
+            out.status.success(),
+            "{}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        let report = std::fs::read(ckpt.join("report.json")).expect("report.json");
+        (report, String::from_utf8_lossy(&out.stderr).into_owned())
+    };
+    let a = simulate("a", "3");
+    let b = simulate("b", "11");
+    let (ckpt, fresh_ckpt) = (base.join("ckpt"), base.join("fresh"));
+
+    // A copy of A with one extra scan record from an unrouted address:
+    // its observation is quarantined, so the kept rows (and the log) are
+    // A's and only the quarantine histogram tells the two apart.
+    let dup = base.join("a-dup");
+    std::fs::create_dir_all(&dup).unwrap();
+    for entry in std::fs::read_dir(&a).unwrap() {
+        let path = entry.unwrap().path();
+        std::fs::copy(&path, dup.join(path.file_name().unwrap())).unwrap();
+    }
+    let scans = std::fs::read_to_string(a.join("scans.json")).unwrap();
+    let start = scans.find('[').unwrap() + 1;
+    let end = start + scans[start..].find('}').unwrap() + 1;
+    let first = &scans[start..end];
+    let ip = first.find("\"ip\":").unwrap() + 5;
+    let ip_end = ip + first[ip..].find(',').unwrap();
+    let unrouted = format!("{}0{}", &first[..ip], &first[ip_end..]);
+    let scans = format!("{},{unrouted}{}", &scans[..end], &scans[end..]);
+    std::fs::write(dup.join("scans.json"), scans).unwrap();
+
+    let (report_a, _) = stream(&a, &ckpt, false);
+    let (resumed_dup, stderr) = stream(&dup, &ckpt, true);
+    assert!(stderr.contains("different data"), "{stderr}");
+    assert!(resumed_dup != report_a, "resume kept A's quarantine counts");
+
+    let (fresh_b, _) = stream(&b, &fresh_ckpt, false);
+    assert!(
+        report_a != fresh_b,
+        "the two worlds analyze alike; test is vacuous"
+    );
+
+    // A checkpoint of other data is not B's: the resume is refused and
+    // B streams from its first week.
+    let (resumed_b, stderr) = stream(&b, &ckpt, true);
+    assert!(stderr.contains("different data"), "{stderr}");
+    assert!(!stderr.contains("resumed from checkpoint"), "{stderr}");
+    assert!(
+        resumed_b == fresh_b,
+        "resume over foreign data kept the old report"
+    );
+
+    // B's own checkpoint resumes and reproduces B's report byte for byte.
+    let (again_b, stderr) = stream(&b, &ckpt, true);
+    assert!(stderr.contains("resumed from checkpoint"), "{stderr}");
+    assert!(again_b == fresh_b);
 
     let _ = std::fs::remove_dir_all(&base);
 }

@@ -7,6 +7,7 @@ mod common;
 
 use retrodns::core::metrics::{MetricsRegistry, MetricsSnapshot};
 use retrodns::core::pipeline::{FunnelStats, PipelineConfig};
+use retrodns::core::IncrementalAnalyzer;
 use retrodns::sim::FaultPlan;
 use std::collections::BTreeMap;
 
@@ -59,11 +60,8 @@ fn metrics_reconcile_with_funnel() {
     let world = common::small_world(0xAC0);
     let observations = common::observations_of(&world);
     let mut metrics = MetricsRegistry::new();
-    let report = common::pipeline_for(&world).run_with(
-        &common::inputs_for(&world, &observations),
-        None,
-        &mut metrics,
-    );
+    let report = common::pipeline_for(&world)
+        .run_with(&common::inputs_for(&world, &observations), &mut metrics);
     assert_eq!(
         recorded_funnel_counters(&metrics.snapshot()),
         expected_funnel_counters(&report.funnel),
@@ -83,7 +81,6 @@ fn metrics_reconcile_with_funnel_under_faults() {
     let mut metrics = MetricsRegistry::new();
     let report = common::pipeline_for(&world).run_with(
         &common::inputs_for(&world, &damaged.observations),
-        None,
         &mut metrics,
     );
     assert!(
@@ -112,7 +109,7 @@ fn metered_report_is_byte_identical_across_workers() {
             ..PipelineConfig::default()
         });
         let mut metrics = MetricsRegistry::new();
-        let report = pipeline.run_with(&inputs, None, &mut metrics);
+        let report = pipeline.run_with(&inputs, &mut metrics);
         let json = serde_json::to_string_pretty(&report).expect("serializes");
         assert!(
             json == baseline_json,
@@ -132,15 +129,12 @@ fn metered_report_is_byte_identical_across_workers() {
 /// histogram shape, and identical counters across identical runs.
 #[test]
 fn snapshot_schema_is_deterministic() {
+    let world = common::small_world(0xAC3);
+    let observations = common::observations_of(&world);
+    let inputs = common::inputs_for(&world, &observations);
     let run = || {
-        let world = common::small_world(0xAC3);
-        let observations = common::observations_of(&world);
         let mut metrics = MetricsRegistry::new();
-        common::pipeline_for(&world).run_with(
-            &common::inputs_for(&world, &observations),
-            None,
-            &mut metrics,
-        );
+        common::pipeline_for(&world).run_with(&inputs, &mut metrics);
         metrics.snapshot()
     };
     let a = run();
@@ -187,76 +181,52 @@ fn snapshot_schema_is_deterministic() {
     assert!(a.histograms.contains_key("stage.wall_ms"));
     assert!(a.histograms.contains_key("map_build.shard_items"));
 
-    // Stage gauges exist for every stage.
-    for stage in [
+    // One streamed week runs the same stages-3–5 tail as the batch run.
+    let first = observations
+        .iter()
+        .map(|o| o.date)
+        .min()
+        .expect("observations");
+    let week: Vec<_> = observations
+        .iter()
+        .filter(|o| o.date == first)
+        .cloned()
+        .collect();
+    let mut metrics = MetricsRegistry::new();
+    IncrementalAnalyzer::new(common::pipeline_for(&world).config).ingest_week_metered(
+        &week,
+        &inputs,
+        &mut metrics,
+    );
+    let streamed = metrics.snapshot();
+
+    // Stage gauges exist for every stage each path runs.
+    let batch_stages = [
         "quarantine",
         "map_build",
         "classify",
         "shortlist",
         "inspect",
         "pivot",
+    ];
+    let stream_stages = ["shortlist", "inspect", "pivot"];
+    for (path, snapshot, stages) in [
+        ("batch", &a, &batch_stages[..]),
+        ("stream", &streamed, &stream_stages[..]),
     ] {
-        assert!(
-            a.gauges.contains_key(&format!("stage.{stage}.wall_ms")),
-            "missing stage.{stage}.wall_ms gauge"
-        );
-        assert!(
-            a.gauges.contains_key(&format!("stage.{stage}.items")),
-            "missing stage.{stage}.items gauge"
-        );
+        for stage in stages {
+            assert!(
+                snapshot
+                    .gauges
+                    .contains_key(&format!("stage.{stage}.wall_ms")),
+                "{path}: missing stage.{stage}.wall_ms gauge"
+            );
+            assert!(
+                snapshot
+                    .gauges
+                    .contains_key(&format!("stage.{stage}.items")),
+                "{path}: missing stage.{stage}.items gauge"
+            );
+        }
     }
-}
-
-/// Checkpointed runs record their checkpoint traffic: a cold run saves
-/// every stage, a resumed run loads every stage, and the loaded run's
-/// funnel counters still reconcile.
-#[test]
-fn checkpoint_events_are_counted() {
-    let world = common::small_world(0xAC4);
-    let observations = common::observations_of(&world);
-    let inputs = common::inputs_for(&world, &observations);
-    let pipeline = common::pipeline_for(&world);
-    let dir = std::env::temp_dir().join(format!("retrodns-metrics-ckpt-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    let mut store = retrodns::core::CheckpointStore::open(&dir).expect("open store");
-
-    let mut cold = MetricsRegistry::new();
-    let report_cold = pipeline.run_with(&inputs, Some(&mut store), &mut cold);
-    let cold_snap = cold.snapshot();
-    for stage in ["maps", "classify", "shortlist", "inspect"] {
-        assert_eq!(
-            cold_snap.counters.get(&format!("checkpoint.saved.{stage}")),
-            Some(&1),
-            "cold run did not save {stage}"
-        );
-    }
-    // The first load attempt missed (no chain yet), breaking the chain.
-    assert_eq!(
-        cold_snap.counters.get("checkpoint.invalid.missing"),
-        Some(&1)
-    );
-
-    let mut warm = MetricsRegistry::new();
-    let report_warm = pipeline.run_with(&inputs, Some(&mut store), &mut warm);
-    let warm_snap = warm.snapshot();
-    for stage in ["maps", "classify", "shortlist", "inspect"] {
-        assert_eq!(
-            warm_snap
-                .counters
-                .get(&format!("checkpoint.loaded.{stage}")),
-            Some(&1),
-            "warm run did not load {stage}"
-        );
-    }
-    assert_eq!(
-        serde_json::to_string_pretty(&report_cold).unwrap(),
-        serde_json::to_string_pretty(&report_warm).unwrap(),
-        "resume changed report bytes"
-    );
-    assert_eq!(
-        recorded_funnel_counters(&warm_snap),
-        expected_funnel_counters(&report_warm.funnel),
-        "resumed run's funnel counters drifted"
-    );
-    let _ = std::fs::remove_dir_all(&dir);
 }
