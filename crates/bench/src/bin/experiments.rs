@@ -557,11 +557,12 @@ fn run_mem(
     ExitCode::SUCCESS
 }
 
-/// Sweep incremental week-at-a-time ingestion against full batch
-/// re-analysis over the `STREAM_WEEK_COUNTS` history lengths and
-/// persist the points into `BENCH_pipeline.json`, preserving whatever
-/// report is already there. Fails when the largest swept history shows
-/// a week-ingest speedup below `--min-stream-speedup`.
+/// Sweep incremental week-at-a-time ingestion (each week ingested and
+/// checkpointed) against full batch re-analysis over the
+/// `STREAM_WEEK_COUNTS` history lengths and persist the points into
+/// `BENCH_pipeline.json`, preserving whatever report is already there.
+/// Fails when the largest swept history shows a week speedup below
+/// `--min-stream-speedup`.
 fn run_stream(
     stream_weeks: usize,
     workers: usize,
@@ -605,8 +606,8 @@ fn run_stream(
             .expect("week_counts is non-empty");
         if p.speedup < min {
             eprintln!(
-                "REGRESSION: week ingest only {:.2}x faster than full re-analysis at {} \
-                 weeks, below the {min:.2}x gate",
+                "REGRESSION: week ingest + checkpoint only {:.2}x faster than full \
+                 re-analysis at {} weeks, below the {min:.2}x gate",
                 p.speedup, p.weeks
             );
             return ExitCode::FAILURE;

@@ -170,10 +170,12 @@ pub struct StreamPoint {
     /// Observations in the final (timed) week alone.
     pub week_observations: usize,
     /// Best-of-N wall milliseconds to ingest the final week into an
-    /// analyzer already holding the preceding `weeks - 1`.
+    /// analyzer already holding the preceding `weeks - 1`, *plus* the
+    /// checkpoint written after it — what `analyze --stream
+    /// --checkpoint-dir` and serve jobs pay per week.
     pub week_ingest_ms: f64,
-    /// Mean wall milliseconds per week across one full stream of the
-    /// history (every week, not just the last).
+    /// Mean wall milliseconds per week (ingest plus checkpoint) across
+    /// one full stream of the history (every week, not just the last).
     pub mean_week_ms: f64,
     /// Best-of-N wall milliseconds of a full batch re-analysis over the
     /// same `weeks` of history.
@@ -334,7 +336,7 @@ impl PipelineBenchReport {
         if !self.stream.is_empty() {
             let _ = writeln!(
                 out,
-                "\n== Streaming ingestion (week ingest vs full re-analysis) =="
+                "\n== Streaming ingestion (week ingest + checkpoint vs full re-analysis) =="
             );
             let _ = writeln!(
                 out,
@@ -343,7 +345,7 @@ impl PipelineBenchReport {
                 "workers",
                 "obs",
                 "week obs",
-                "ingest ms",
+                "week ms",
                 "mean wk ms",
                 "full ms",
                 "speedup"
@@ -612,19 +614,24 @@ pub const STREAM_SEED: u64 = 0x57AE;
 /// For each requested week count `n` the sweep truncates the world's
 /// observation history to its first `n` scan-weeks, primes an
 /// [`IncrementalAnalyzer`](retrodns_core::IncrementalAnalyzer) with
-/// weeks `0..n-1`, then times (best of `reps`, priming excluded —
-/// each rep clones the primed analyzer outside the timer):
+/// weeks `0..n-1` and checkpoints it once, then times (best of `reps`,
+/// priming excluded — each rep clones the primed analyzer and copies
+/// its checkpoint directory outside the timer, so the timed save stays
+/// incremental):
 ///
-/// * ingesting the final week into the primed analyzer, and
+/// * ingesting the final week into the primed analyzer and
+///   checkpointing it, and
 /// * a full batch [`Pipeline::run`] over all `n` weeks,
 ///
-/// plus one untimed-rep full stream to report the mean per-week cost.
+/// plus one untimed-rep full stream, checkpointed every week, to report
+/// the mean per-week cost. Checkpoints go to a scratch directory under
+/// the system temp dir, removed afterwards.
 /// The ratio of the two timed figures is the `speedup` the CI gate
 /// (`--min-stream-speedup`) checks: how much cheaper staying
 /// incremental is than re-analyzing history every week.
 pub fn bench_stream(week_counts: &[usize], workers: usize, reps: usize) -> Vec<StreamPoint> {
     use retrodns_core::pipeline::AnalystInputs;
-    use retrodns_core::IncrementalAnalyzer;
+    use retrodns_core::{CheckpointStore, IncrementalAnalyzer};
     use retrodns_store::RowsView;
 
     let world = retrodns_sim::World::build(retrodns_sim::SimConfig::small(STREAM_SEED));
@@ -671,27 +678,49 @@ pub fn bench_stream(week_counts: &[usize], workers: usize, reps: usize) -> Vec<S
             let slices: Vec<Vec<_>> = by_date.into_values().collect();
             let (last_week, prefix) = slices.split_last().expect("at least one week");
 
+            let scratch = std::env::temp_dir().join(format!(
+                "retrodns-bench-stream-{}-{weeks}",
+                std::process::id()
+            ));
+            let open = |name: &str| {
+                let dir = scratch.join(name);
+                let _ = std::fs::remove_dir_all(&dir);
+                CheckpointStore::open(dir).expect("open bench checkpoint dir")
+            };
+
             // One full stream, timed per week, for the mean figure.
+            let full = open("full");
             let mut streamer = IncrementalAnalyzer::new(config.clone());
             let t = Instant::now();
             for week in &slices {
                 streamer.ingest_week(week, &inputs);
+                streamer.checkpoint(&full).expect("bench checkpoint write");
             }
             let mean_week_ms = t.elapsed().as_secs_f64() * 1e3 / slices.len() as f64;
 
-            // Prime with everything but the last week, once; each timed
-            // rep restarts from a clone of the primed state.
+            // Prime with everything but the last week and checkpoint it,
+            // once; each timed rep restarts from a clone of the primed
+            // analyzer and a copy of its checkpoint.
             let mut primed = IncrementalAnalyzer::new(config.clone());
             for week in prefix {
                 primed.ingest_week(week, &inputs);
             }
+            let primed_store = open("primed");
+            primed
+                .checkpoint(&primed_store)
+                .expect("bench checkpoint write");
             let mut week_ingest_ms = f64::INFINITY;
             for _ in 0..reps.max(1) {
-                let mut analyzer = primed.clone(); // untimed: rep setup
+                // Untimed: rep setup.
+                let mut analyzer = primed.clone();
+                let live = open("live");
+                copy_dir(primed_store.dir(), live.dir()).expect("copy primed checkpoint");
                 let t = Instant::now();
                 std::hint::black_box(analyzer.ingest_week(last_week, &inputs));
+                analyzer.checkpoint(&live).expect("bench checkpoint write");
                 week_ingest_ms = week_ingest_ms.min(t.elapsed().as_secs_f64() * 1e3);
             }
+            let _ = std::fs::remove_dir_all(&scratch);
 
             let pipeline = Pipeline::new(config);
             let full_reanalysis_ms = time_ms(reps, || pipeline.run(&inputs));
@@ -713,6 +742,21 @@ pub fn bench_stream(week_counts: &[usize], workers: usize, reps: usize) -> Vec<S
             }
         })
         .collect()
+}
+
+/// Recursively copy the directory `from` into `to`.
+fn copy_dir(from: &std::path::Path, to: &std::path::Path) -> std::io::Result<()> {
+    std::fs::create_dir_all(to)?;
+    for entry in std::fs::read_dir(from)? {
+        let entry = entry?;
+        let target = to.join(entry.file_name());
+        if entry.file_type()?.is_dir() {
+            copy_dir(&entry.path(), &target)?;
+        } else {
+            std::fs::copy(entry.path(), &target)?;
+        }
+    }
+    Ok(())
 }
 
 /// Scans per synthetic domain in the matrix streams: eight weekly

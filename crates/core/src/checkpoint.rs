@@ -4,11 +4,13 @@
 //! [`IncrementalAnalyzer`](crate::incremental::IncrementalAnalyzer)'s
 //! per-week checkpoint. After each ingested week,
 //! [`checkpoint`](crate::incremental::IncrementalAnalyzer::checkpoint)
-//! writes the quarantine-kept observation log and the analyzer state into
-//! a [`CheckpointStore`]; a killed stream
+//! writes the quarantine-kept observation log's changed parts and a small
+//! record (quarantine histogram, week count, last date, report) into a
+//! [`CheckpointStore`]; a killed stream
 //! [`resume`](crate::incremental::IncrementalAnalyzer::resume)s from the
-//! last completed week and still produces a `Report` byte-identical to an
-//! uninterrupted run (see `DESIGN.md` §7 and §11). A batch
+//! last completed week by rebuilding maps and patterns from the log, and
+//! still produces a `Report` byte-identical to an uninterrupted run (see
+//! `DESIGN.md` §7 and §11). A batch
 //! [`Pipeline::run`](crate::pipeline::Pipeline::run) writes no
 //! checkpoints: rerunning it is cheaper than loading per-stage snapshots
 //! would be.
@@ -19,7 +21,8 @@
 //!   `manifest.json` plus `dict-<hash>.bin` / `chunk-<hash>.bin` parts
 //!   named by their content hash, so a save writes only changed parts and
 //!   deletes the ones the new manifest no longer lists;
-//! * `stage_<name>.json` — a state payload, plain serde JSON;
+//! * `stage_<name>.json` — a record payload, plain serde JSON (for the
+//!   analyzer, a few kilobytes: the log carries everything else);
 //! * `stage_<name>.meta.json` — a [`StageMeta`] envelope: format version,
 //!   stage name, fingerprints of the pipeline configuration and the
 //!   input observations, and the BKDR hash of the payload bytes.
@@ -39,8 +42,9 @@ use serde::{Deserialize, Serialize};
 use std::path::{Path, PathBuf};
 
 /// Bumped whenever a stage payload's serialized shape changes; old
-/// checkpoints are then invalid wholesale.
-pub const CHECKPOINT_FORMAT_VERSION: u32 = 2;
+/// checkpoints are then invalid wholesale. Version 3 dropped the maps and
+/// patterns from the analyzer's record.
+pub const CHECKPOINT_FORMAT_VERSION: u32 = 3;
 
 /// Fingerprints binding a checkpoint to one (config, inputs) pair.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -455,6 +459,38 @@ mod tests {
             s.load::<Vec<u32>>("maps", &fp()).unwrap_err(),
             InvalidReason::Corrupt
         );
+        let _ = std::fs::remove_dir_all(s.dir());
+    }
+
+    #[test]
+    fn older_format_version_is_refused() {
+        use crate::incremental::{IncrementalAnalyzer, INCREMENTAL_STAGE};
+        use crate::pipeline::PipelineConfig;
+
+        // Version 2 is the last format whose record carried the maps and
+        // patterns; its envelope must not validate today's payload.
+        let downgrade = |s: &CheckpointStore, stage: &str| {
+            let path = s.meta_path(stage);
+            let mut meta: StageMeta =
+                serde_json::from_slice(&std::fs::read(&path).unwrap()).unwrap();
+            meta.version = 2;
+            std::fs::write(&path, serde_json::to_vec(&meta).unwrap()).unwrap();
+        };
+        let s = store();
+        s.save("maps", &fp(), &vec![1u32]).unwrap();
+        downgrade(&s, "maps");
+        assert_eq!(
+            s.load::<Vec<u32>>("maps", &fp()).unwrap_err(),
+            InvalidReason::Version
+        );
+
+        let config = PipelineConfig::default();
+        IncrementalAnalyzer::new(config.clone())
+            .checkpoint(&s)
+            .unwrap();
+        assert!(IncrementalAnalyzer::resume(config.clone(), &s).is_some());
+        downgrade(&s, INCREMENTAL_STAGE);
+        assert!(IncrementalAnalyzer::resume(config, &s).is_none());
         let _ = std::fs::remove_dir_all(s.dir());
     }
 

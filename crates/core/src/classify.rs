@@ -24,7 +24,7 @@ use serde::{Deserialize, Serialize};
 use std::collections::BTreeSet;
 
 /// Stable sub-patterns (Figure 3).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum StableKind {
     /// Single deployment, single certificate.
     S1,
@@ -37,7 +37,7 @@ pub enum StableKind {
 }
 
 /// Transition sub-patterns (Figure 4).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum TransitionKind {
     /// Expansion into an additional AS with an existing certificate.
     X1,
@@ -48,7 +48,7 @@ pub enum TransitionKind {
 }
 
 /// Transient sub-patterns (Figure 5).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum TransientKind {
     /// Transient presents a certificate the stable deployment never used.
     T1,
@@ -57,7 +57,7 @@ pub enum TransientKind {
 }
 
 /// One suspicious transient deployment within a map.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TransientFinding {
     /// Index into `map.deployments`.
     pub deployment: usize,
@@ -69,7 +69,7 @@ pub struct TransientFinding {
 }
 
 /// The stable background a transient is judged against.
-#[derive(Debug, Clone, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct StableBackground {
     /// Indices of the background deployments.
     pub deployments: Vec<usize>,
@@ -82,7 +82,7 @@ pub struct StableBackground {
 }
 
 /// The classification of one deployment map.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Pattern {
     /// Benign stable map.
     Stable(StableKind),

@@ -21,7 +21,6 @@ use retrodns_cert::CertId;
 use retrodns_scan::DomainObservation;
 use retrodns_store::{ObsColumns, ObservationStore, ASN_NONE, COUNTRY_NONE};
 use retrodns_types::{Asn, CountryCode, Day, DomainName, Ipv4Addr, Period, PeriodId, StudyWindow};
-use serde::{Deserialize, Serialize};
 use std::borrow::Borrow;
 use std::cmp::Ordering;
 use std::collections::{BTreeMap, BTreeSet};
@@ -250,7 +249,7 @@ impl<S: ObsSource> ObsSource for Selected<'_, S> {
 }
 
 /// Observable infrastructure of a domain in one ASN on one scan date.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DeploymentGroup {
     /// Scan date.
     pub date: Day,
@@ -267,7 +266,7 @@ pub struct DeploymentGroup {
 }
 
 /// A longitudinal run of same-ASN deployment groups.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Deployment {
     /// The ASN all groups share.
     pub asn: Asn,
@@ -333,7 +332,7 @@ impl Deployment {
 }
 
 /// All deployments of one domain within one analysis period.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DeploymentMap {
     /// The registered domain.
     pub domain: DomainName,

@@ -28,7 +28,7 @@ use serde::{Deserialize, Serialize};
 use std::collections::{BTreeSet, HashMap};
 
 /// Why a transient map was pruned.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum PruneReason {
     /// Transient ASN organizationally related to a stable ASN.
     RelatedOrg,
@@ -56,7 +56,7 @@ impl PruneReason {
 }
 
 /// A shortlisted suspicious transient.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Candidate {
     /// The domain.
     pub domain: DomainName,
@@ -82,19 +82,16 @@ pub struct Candidate {
     /// (currently only `as2org`): the shortlist kept it rather than
     /// prune on missing evidence, and inspection must report it under
     /// the degraded tier.
-    #[serde(default)]
     pub degraded_sources: Vec<String>,
     /// Cross-period recurrence (slow-burn signal): length of the run of
     /// consecutive periods showing a similar transient, when the
     /// recurrence signal kept a candidate the repeat heuristic would
     /// have pruned. Zero for ordinary candidates.
-    #[serde(default, skip_serializing_if = "serde::__is_default")]
     pub recurrent_periods: usize,
     /// Geo-implausibility (BGP-assisted-hijack signal): the transient
     /// geolocates to a stable country, but its origin AS does not
     /// plausibly announce addresses there — the geolocation is likely an
     /// artifact of a hijacked more-specific prefix.
-    #[serde(default, skip_serializing_if = "serde::__is_default")]
     pub geo_implausible: bool,
 }
 

@@ -251,22 +251,24 @@ impl ObservationStore {
     }
 }
 
-/// Encode a low-cardinality column as (distinct values, per-row codes).
-fn encode_dict_column(buf: &mut Vec<u8>, values: impl Iterator<Item = u64> + Clone) {
+/// Encode a low-cardinality column as (distinct values, per-row codes),
+/// hashing each row once.
+fn encode_dict_column(buf: &mut Vec<u8>, values: impl ExactSizeIterator<Item = u64>) {
     let mut codes: HashMap<u64, u64> = HashMap::new();
     let mut distinct: Vec<u64> = Vec::new();
-    for v in values.clone() {
-        if let std::collections::hash_map::Entry::Vacant(e) = codes.entry(v) {
-            e.insert(distinct.len() as u64);
+    let mut row_codes: Vec<u64> = Vec::with_capacity(values.len());
+    for v in values {
+        row_codes.push(*codes.entry(v).or_insert_with(|| {
             distinct.push(v);
-        }
+            distinct.len() as u64 - 1
+        }));
     }
     put_u64(buf, distinct.len() as u64);
     for &v in &distinct {
         put_u64(buf, v);
     }
-    for v in values {
-        put_u64(buf, codes[&v]);
+    for code in row_codes {
+        put_u64(buf, code);
     }
 }
 

@@ -35,14 +35,16 @@ echo "==> memory trajectory (100k/1M streamed; 24 B/obs + 3.0x reduction gates)"
 cargo run --release -p retrodns-bench --bin experiments -- --max-obs 1000000 \
     --max-bytes-per-obs 24.0 --min-mem-reduction 3.0 mem
 
-echo "==> stream smoke (week ingest vs full re-analysis at 20 weeks; 5.0x gate)"
-cargo run --release -p retrodns-bench --bin experiments -- --stream-weeks 20 \
-    --min-stream-speedup 5.0 --reps 5 stream
-
 echo "==> archetype matrix (7 archetypes x 3 seeds; full-recall + no-regression gates)"
 cargo run --release -p retrodns-bench --bin experiments -- archetypes
 
 echo "==> serve chaos + load (5 SIGKILLs mid-analysis at workers 1/2/8, byte-identical resume; 50 qps gate)"
 cargo run --release -p retrodns-bench --bin experiments -- --min-serve-qps 50 serve
+
+# Last, so that a failing timing gate cannot stop the gates above from
+# running.
+echo "==> stream smoke (week ingest + checkpoint vs full re-analysis at 20 weeks; 5.0x gate)"
+cargo run --release -p retrodns-bench --bin experiments -- --stream-weeks 20 \
+    --min-stream-speedup 5.0 --reps 5 stream
 
 echo "tier-1 verification passed"

@@ -4,7 +4,9 @@
 //! count, with or without killing and resuming the analyzer from
 //! checkpoints between weeks — and the per-week [`WeekDelta`]s must
 //! compose back into the final report without losing or duplicating a
-//! verdict change.
+//! verdict change. A resumed analyzer emits the same deltas as an
+//! uninterrupted one, including across empty or fully quarantined
+//! batches and under corroboration-source faults.
 
 mod common;
 
@@ -12,10 +14,11 @@ use common::{week_slices, world_up_to_week, InputsBuilder};
 use proptest::prelude::*;
 use retrodns::core::checkpoint::CheckpointStore;
 use retrodns::core::incremental::{IncrementalAnalyzer, WeekDelta};
-use retrodns::core::pipeline::{Pipeline, PipelineConfig, Report};
+use retrodns::core::pipeline::{AnalystInputs, Pipeline, PipelineConfig, Report};
 use retrodns::scan::DomainObservation;
-use retrodns::sim::World;
+use retrodns::sim::{SourceFaultKind, SourceFaultPlan, World};
 use retrodns::store::RowsView;
+use retrodns::types::Day;
 
 /// Worker counts the byte-identity contract is pinned at.
 const WORKER_COUNTS: [usize; 3] = [1, 2, 8];
@@ -41,12 +44,76 @@ fn stream_weeks(
 ) -> (Report, Vec<WeekDelta>) {
     let view = RowsView(observations);
     let inputs = InputsBuilder::new(world, &view).build();
-    let mut analyzer = IncrementalAnalyzer::new(config_for(world, workers));
-    let deltas: Vec<WeekDelta> = week_slices(observations)
+    let (report, deltas, _) = stream_batches(
+        &inputs,
+        &config_for(world, workers),
+        &week_slices(observations),
+    );
+    (report, deltas)
+}
+
+/// Feed `batches` through one uninterrupted analyzer. Returns the final
+/// report, the per-batch deltas, and `last_date()` after each batch.
+fn stream_batches(
+    inputs: &AnalystInputs,
+    config: &PipelineConfig,
+    batches: &[Vec<DomainObservation>],
+) -> (Report, Vec<WeekDelta>, Vec<Option<Day>>) {
+    let mut analyzer = IncrementalAnalyzer::new(config.clone());
+    let mut last_dates = Vec::new();
+    let deltas = batches
         .iter()
-        .map(|week| analyzer.ingest_week(week, &inputs))
+        .map(|batch| {
+            let delta = analyzer.ingest_week(batch, inputs);
+            last_dates.push(analyzer.last_date());
+            delta
+        })
         .collect();
-    (analyzer.report().clone(), deltas)
+    (analyzer.report().clone(), deltas, last_dates)
+}
+
+/// Feed `batches` through a brand-new analyzer per batch, each resumed
+/// from the checkpoint its predecessor wrote into a directory named by
+/// `tag`. After every resume the analyzer must hold exactly the batches
+/// already ingested and the `last_date` the uninterrupted stream had
+/// then (`last_dates`, as [`stream_batches`] returns them). Returns the
+/// final resumed report and every batch's delta.
+fn stream_resuming_every_batch(
+    inputs: &AnalystInputs,
+    config: &PipelineConfig,
+    batches: &[Vec<DomainObservation>],
+    last_dates: &[Option<Day>],
+    tag: &str,
+) -> (Report, Vec<WeekDelta>) {
+    let dir = std::env::temp_dir().join(format!("retrodns-{tag}-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let store = CheckpointStore::open(&dir).expect("open checkpoint dir");
+    let mut deltas = Vec::new();
+    for (i, batch) in batches.iter().enumerate() {
+        // Everything the analyzer knows about batches 0..i must come
+        // back from the checkpoint layer.
+        let mut analyzer = IncrementalAnalyzer::resume(config.clone(), &store)
+            .unwrap_or_else(|| IncrementalAnalyzer::new(config.clone()));
+        assert_eq!(analyzer.weeks(), i as u32, "resume lost ingested weeks");
+        let before = i.checked_sub(1).and_then(|p| last_dates[p]);
+        assert_eq!(analyzer.last_date(), before, "resume moved last_date");
+        deltas.push(analyzer.ingest_week(batch, inputs));
+        analyzer.checkpoint(&store).expect("checkpoint write");
+    }
+    let finished =
+        IncrementalAnalyzer::resume(config.clone(), &store).expect("final state resumes");
+    assert_eq!(finished.weeks(), batches.len() as u32);
+    assert_eq!(finished.last_date(), last_dates.last().copied().flatten());
+    let _ = std::fs::remove_dir_all(&dir);
+    (finished.report().clone(), deltas)
+}
+
+/// Each delta as compact JSON, so delta sequences compare byte for byte.
+fn deltas_json(deltas: &[WeekDelta]) -> Vec<String> {
+    deltas
+        .iter()
+        .map(|d| serde_json::to_string(d).expect("delta serializes"))
+        .collect()
 }
 
 #[test]
@@ -102,30 +169,84 @@ fn streaming_matches_batch_at_every_worker_count() {
 #[test]
 fn kill_and_resume_between_every_week_is_invisible() {
     let (world, observations) = world_up_to_week(101, 130);
-    let view = RowsView(&observations);
+    let mut batches = week_slices(&observations);
+    // Splice in an empty batch and a batch whose every row quarantine
+    // rejects (a copy of the next week, unrouted): both count as weeks,
+    // neither moves `last_date`, and a resume must not lose either.
+    let unrouted: Vec<DomainObservation> = batches[6]
+        .iter()
+        .map(|o| DomainObservation {
+            asn: None,
+            ..o.clone()
+        })
+        .collect();
+    batches.insert(6, unrouted);
+    batches.insert(3, Vec::new());
+    let all: Vec<DomainObservation> = batches.concat();
+    let view = RowsView(&all);
     let inputs = InputsBuilder::new(&world, &view).build();
-    let batch = report_json(&Pipeline::new(config_for(&world, 1)).run(&inputs));
+    let config = config_for(&world, 1);
+    let batch = report_json(&Pipeline::new(config.clone()).run(&inputs));
 
-    let dir = std::env::temp_dir().join(format!("retrodns-stream-resume-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    let store = CheckpointStore::open(&dir).expect("open checkpoint dir");
-    for (i, week) in week_slices(&observations).iter().enumerate() {
-        // A brand-new analyzer every week: everything it knows about
-        // weeks 0..i must come back from the checkpoint layer.
-        let mut analyzer = IncrementalAnalyzer::resume(config_for(&world, 1), &store)
-            .unwrap_or_else(|| IncrementalAnalyzer::new(config_for(&world, 1)));
-        assert_eq!(analyzer.weeks(), i as u32, "resume lost ingested weeks");
-        analyzer.ingest_week(week, &inputs);
-        analyzer.checkpoint(&store).expect("checkpoint write");
-    }
-    let finished =
-        IncrementalAnalyzer::resume(config_for(&world, 1), &store).expect("final state resumes");
+    let (streamed, stream_deltas, last_dates) = stream_batches(&inputs, &config, &batches);
     assert_eq!(
-        report_json(finished.report()),
+        last_dates[3], last_dates[2],
+        "an empty batch moved last_date"
+    );
+    assert_eq!(
+        last_dates[7], last_dates[6],
+        "a rejected batch moved last_date"
+    );
+    assert_eq!(report_json(&streamed), batch);
+    let (resumed, resumed_deltas) =
+        stream_resuming_every_batch(&inputs, &config, &batches, &last_dates, "stream-resume");
+    assert_eq!(
+        report_json(&resumed),
         batch,
         "kill-and-resume streaming diverged from the batch report"
     );
-    let _ = std::fs::remove_dir_all(&dir);
+    assert_eq!(
+        deltas_json(&resumed_deltas),
+        deltas_json(&stream_deltas),
+        "a resumed analyzer emitted a different delta than the uninterrupted stream"
+    );
+}
+
+#[test]
+fn resume_under_source_faults_is_invisible() {
+    // Degraded verdicts are part of the report and of every delta, so a
+    // resume must carry them across exactly like clean verdicts.
+    let (world, observations) = world_up_to_week(101, 130);
+    let faults = SourceFaultPlan {
+        seed: 0x5EED,
+        source: "pdns".to_string(),
+        kind: SourceFaultKind::ErrorBurst,
+        rate_pct: 30,
+    };
+    let view = RowsView(&observations);
+    let inputs = InputsBuilder::new(&world, &view)
+        .source_faults(&faults)
+        .build();
+    let batches = week_slices(&observations);
+    // Two workers, so every resume rebuilds the maps in two shards.
+    let config = config_for(&world, 2);
+    let (streamed, stream_deltas, last_dates) = stream_batches(&inputs, &config, &batches);
+    assert!(
+        !streamed.degraded.is_empty(),
+        "the fault plan degraded nothing — raise its rate"
+    );
+    let (resumed, resumed_deltas) =
+        stream_resuming_every_batch(&inputs, &config, &batches, &last_dates, "stream-faults");
+    assert_eq!(
+        report_json(&resumed),
+        report_json(&streamed),
+        "kill-and-resume under source faults diverged from the uninterrupted stream"
+    );
+    assert_eq!(
+        deltas_json(&resumed_deltas),
+        deltas_json(&stream_deltas),
+        "a resumed faulted stream emitted a different delta"
+    );
 }
 
 #[test]
