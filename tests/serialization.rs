@@ -74,3 +74,137 @@ fn observation_archives_round_trip() {
     let dnssec: retrodns::dns::DnssecArchive = roundtrip(&world.dnssec);
     assert_eq!(dnssec.len(), world.dnssec.len());
 }
+
+/// Bytes of every file `retrodns simulate --domains 300 --seed 7` writes:
+/// (name, length, `bytes_hash`). Any change to field order, map-key
+/// order, number or string rendering shows up here.
+const SIMULATE_300_SEED_7: [(&str, usize, u64); 10] = [
+    ("asdb.json", 8577, 0x33bf541da4274b55),
+    ("certs.json", 407387, 0x4580a4b7115eda40),
+    ("crtsh.json", 547189, 0x910a176587827838),
+    ("dnssec.json", 15638, 0xde0aa0b3ba67f68e),
+    ("meta.json", 54388, 0xc8cd38018649b55b),
+    ("pdns.json", 73869, 0x3d8013a3255b8c21),
+    ("scans.json", 10607736, 0xad96c265b17c4310),
+    ("trust.json", 351, 0xd48e09ad1513cc0a),
+    ("truth.json", 661, 0x8aeb2c7d723ef11a),
+    ("zones.json", 8122, 0x6f4f69bf62ee0b44),
+];
+
+/// Mirror of the CLI's private `truth.json` sidecar.
+#[derive(serde::Serialize, serde::Deserialize)]
+struct TruthFile {
+    hijacked: Vec<DomainName>,
+    targeted: Vec<DomainName>,
+}
+
+/// `from_slice` then `to_vec` must give back exactly the input bytes.
+fn reserializes<T>(name: &str, bytes: &[u8])
+where
+    T: serde::Serialize + serde::de::DeserializeOwned,
+{
+    let value: T = serde_json::from_slice(bytes).unwrap_or_else(|e| panic!("{name}: {e}"));
+    let again = serde_json::to_vec(&value).expect("serialize");
+    assert!(again == bytes, "{name} does not re-serialize byte for byte");
+}
+
+#[test]
+fn simulate_output_bytes_are_pinned_and_reserialize_exactly() {
+    use std::collections::HashMap;
+
+    let dir = std::env::temp_dir().join(format!("retrodns-pinned-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let out = std::process::Command::new(env!("CARGO_BIN_EXE_retrodns"))
+        .args(["simulate", "--domains", "300", "--seed", "7", "--out"])
+        .arg(&dir)
+        .output()
+        .expect("run simulate");
+    assert!(
+        out.status.success(),
+        "simulate failed: {}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let mut written: Vec<String> = std::fs::read_dir(&dir)
+        .unwrap()
+        .map(|e| e.unwrap().file_name().into_string().unwrap())
+        .collect();
+    written.sort();
+    let pinned: Vec<&str> = SIMULATE_300_SEED_7.iter().map(|(n, _, _)| *n).collect();
+    assert_eq!(written, pinned, "simulate writes a different file set");
+
+    for (name, len, hash) in SIMULATE_300_SEED_7 {
+        let bytes = std::fs::read(dir.join(name)).unwrap();
+        assert_eq!(bytes.len(), len, "{name} length");
+        assert_eq!(retrodns::types::bytes_hash(&bytes), hash, "{name} hash");
+        match name {
+            "asdb.json" => reserializes::<retrodns::asdb::AsDatabase>(name, &bytes),
+            "certs.json" => reserializes::<
+                HashMap<retrodns::cert::CertId, retrodns::cert::Certificate>,
+            >(name, &bytes),
+            "crtsh.json" => reserializes::<retrodns::cert::CrtShIndex>(name, &bytes),
+            "dnssec.json" => reserializes::<retrodns::dns::DnssecArchive>(name, &bytes),
+            "meta.json" => reserializes::<Vec<retrodns::sim::DomainMeta>>(name, &bytes),
+            "pdns.json" => reserializes::<retrodns::dns::PassiveDns>(name, &bytes),
+            "scans.json" => reserializes::<ScanDataset>(name, &bytes),
+            "trust.json" => reserializes::<retrodns::cert::TrustStore>(name, &bytes),
+            "truth.json" => reserializes::<TruthFile>(name, &bytes),
+            "zones.json" => reserializes::<retrodns::dns::ZoneSnapshotArchive>(name, &bytes),
+            other => panic!("no type for {other}"),
+        }
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn pretty_job_files_are_pinned() {
+    use retrodns::serve::{JobSpec, JobState, JobStatus};
+
+    let spec = JobSpec {
+        id: "job-7".into(),
+        data_dir: "/data/\"quoted\"\tdir".into(),
+        workers: 8,
+        dnssec_signal: true,
+        max_weeks: 111,
+        week_delay_ms: 0,
+    };
+    let spec_json = serde_json::to_string_pretty(&spec).unwrap();
+    assert_eq!(
+        spec_json,
+        "{\n  \"id\": \"job-7\",\n  \"data_dir\": \"/data/\\\"quoted\\\"\\tdir\",\n  \
+         \"workers\": 8,\n  \"dnssec_signal\": true,\n  \"max_weeks\": 111,\n  \
+         \"week_delay_ms\": 0\n}"
+    );
+    assert_eq!(
+        (
+            spec_json.len(),
+            retrodns::types::bytes_hash(spec_json.as_bytes())
+        ),
+        (141, 0x4bdb2e5760ffbdb5)
+    );
+
+    let status = JobStatus {
+        id: "job-7".into(),
+        state: JobState::Degraded,
+        weeks_done: 111,
+        weeks_total: 222,
+        resumed_weeks: 3,
+        error: String::new(),
+        hijacked: 12,
+        targeted: 4,
+        degraded: 1,
+    };
+    let status_json = serde_json::to_string_pretty(&status).unwrap();
+    assert_eq!(
+        status_json,
+        "{\n  \"id\": \"job-7\",\n  \"state\": \"Degraded\",\n  \"weeks_done\": 111,\n  \
+         \"weeks_total\": 222,\n  \"resumed_weeks\": 3,\n  \"error\": \"\",\n  \
+         \"hijacked\": 12,\n  \"targeted\": 4,\n  \"degraded\": 1\n}"
+    );
+    assert_eq!(
+        (
+            status_json.len(),
+            retrodns::types::bytes_hash(status_json.as_bytes())
+        ),
+        (174, 0x2f784e70dde587af)
+    );
+}
