@@ -224,6 +224,35 @@ fn enums_are_externally_tagged() {
 }
 
 #[test]
+fn nesting_is_limited_to_128_levels() {
+    let nested = |depth: usize| format!("{}{}", "[".repeat(depth), "]".repeat(depth));
+    assert_eq!(serde::json::MAX_DEPTH, 128);
+    assert!(parse::<Value>(&nested(128)).is_ok());
+    let err = parse::<Value>(&nested(129)).unwrap_err();
+    assert!(err.to_string().contains("nesting"), "{err}");
+    // Skipped values count too: the probe itself is one level.
+    let under = |depth: usize| format!(r#"{{"name":"a","count":1,"x":{}}}"#, nested(depth));
+    assert!(parse::<Probe>(&under(127)).is_ok());
+    assert!(parse::<Probe>(&under(128)).is_err());
+    // Far past the limit is an error, not a stack overflow.
+    let deep = "[".repeat(200_000);
+    assert!(serde_json::from_slice::<Value>(deep.as_bytes()).is_err());
+    assert!(serde_json::from_slice::<JobSpec>(deep.as_bytes()).is_err());
+    let objects = r#"{"a":"#.repeat(200_000);
+    assert!(serde_json::from_slice::<Value>(objects.as_bytes()).is_err());
+}
+
+#[test]
+fn high_surrogate_needs_a_low_half() {
+    // A high surrogate followed by an escape that is not a low surrogate
+    // is rejected, not decoded into an unrelated character.
+    rejects::<String>(r#""\ud83d\u0041""#);
+    rejects::<String>(r#""\ud800\ue000""#);
+    rejects::<String>(r#""\ud800\udbff""#);
+    assert_eq!(ok::<String>(r#""\ud800\udc00""#), "\u{10000}");
+}
+
+#[test]
 fn invalid_utf8_is_rejected() {
     assert!(serde_json::from_slice::<String>(b"\"\xff\"").is_err());
     assert!(serde_json::from_slice::<Value>(b"[\"ok\", \"\xc3\"]").is_err());

@@ -208,3 +208,182 @@ fn pretty_job_files_are_pinned() {
         (174, 0x2f784e70dde587af)
     );
 }
+
+/// Serialize, parse back and serialize again, compact and pretty: every
+/// pass must print the same text.
+fn stable<T>(name: &str, value: &T) -> T
+where
+    T: serde::Serialize + serde::de::DeserializeOwned,
+{
+    let compact = serde_json::to_string(value).expect("serialize");
+    let back: T = serde_json::from_str(&compact).unwrap_or_else(|e| panic!("{name}: {e}"));
+    assert_eq!(serde_json::to_string(&back).unwrap(), compact, "{name}");
+    let pretty = serde_json::to_string_pretty(value).expect("serialize pretty");
+    let from_pretty: T = serde_json::from_str(&pretty).unwrap_or_else(|e| panic!("{name}: {e}"));
+    assert_eq!(
+        serde_json::to_string(&from_pretty).unwrap(),
+        compact,
+        "{name} (pretty)"
+    );
+    back
+}
+
+#[test]
+fn every_derived_type_family_round_trips() {
+    use retrodns::core::IncrementalAnalyzer;
+    use retrodns::serve::{JobSpec, JobState, JobStatus, VerdictEvent};
+    use retrodns::sim::{ChaosPlan, FaultKind, FaultPlan, SourceFaultKind, SourceFaultPlan};
+
+    let world = World::build(SimConfig::small(203));
+    stable("SimConfig", &world.config);
+    stable("DomainMeta", &world.meta);
+    stable("DomainPlan", &world.plans);
+    stable("TrustStore", &world.trust);
+    stable("CtLog", &world.ct);
+    stable("CrtShIndex", &world.crtsh);
+    stable("RevocationRegistry", &world.revocations);
+    stable("certs (HashMap<CertId, _>)", &world.certs);
+    stable("ServerFarm", &world.farm);
+    stable("DnsDb", &world.dns);
+    stable("ZoneSnapshotArchive (HashSet)", &world.zones);
+    stable("DnssecArchive", &world.dnssec);
+    stable("GroundTruth", &world.ground_truth);
+    stable("CampaignPlan", &world.campaigns);
+    stable("AsDatabase", &world.geo.asdb);
+    let pdns = stable("PassiveDns (from/into proxy)", &world.pdns);
+    assert_eq!(pdns.len(), world.pdns.len());
+    stable("FaultPlan", &FaultPlan::all(203));
+    stable("FaultKind", &FaultKind::DropScanWeek);
+    stable(
+        "SourceFaultPlan",
+        &SourceFaultPlan::outage(203, "pdns", SourceFaultKind::ErrorBurst),
+    );
+    stable("ChaosPlan", &ChaosPlan::generate(203, 3, 2, 20));
+
+    // Pipeline configuration, report and verdicts.
+    let observations = common::observations_of(&world);
+    stable("DomainObservation", &observations[..50].to_vec());
+    let mut config = PipelineConfig {
+        window: world.config.window.clone(),
+        workers: 3,
+        ..PipelineConfig::default()
+    };
+    config.inspect.use_dnssec_signal = true;
+    config.inspect.sparse_ns_max_density = 0.125;
+    let cfg = stable("PipelineConfig", &config);
+    assert_eq!(cfg.inspect.sparse_ns_max_density, 0.125);
+    let pipeline = retrodns::core::Pipeline::new(config.clone());
+    let report = pipeline.run(&common::inputs_for(&world, &observations));
+    assert!(
+        !report.hijacked.is_empty(),
+        "the world should plant hijacks"
+    );
+    let back = stable("Report", &report);
+    assert_eq!(back.hijacked_domains(), report.hijacked_domains());
+    stable("FunnelStats", &report.funnel);
+
+    // Serve job files and events.
+    let spec = JobSpec {
+        id: "j1".into(),
+        data_dir: "/data".into(),
+        workers: 2,
+        dnssec_signal: true,
+        max_weeks: 9,
+        week_delay_ms: 5,
+    };
+    stable("JobSpec", &spec);
+    for state in [
+        JobState::Queued,
+        JobState::Running,
+        JobState::Done,
+        JobState::Degraded,
+        JobState::Failed,
+        JobState::Cancelled,
+    ] {
+        assert_eq!(stable("JobState", &state), state);
+        let status = JobStatus {
+            id: "j1".into(),
+            state,
+            weeks_done: 4,
+            weeks_total: 9,
+            resumed_weeks: 1,
+            error: "e".into(),
+            hijacked: 2,
+            targeted: 1,
+            degraded: 0,
+        };
+        assert_eq!(stable("JobStatus", &status).state, state);
+    }
+    for detection in ["", "T1"] {
+        let event = VerdictEvent {
+            seq: 7,
+            job: "j1".into(),
+            week: 3,
+            date: "2020-12-21".parse().unwrap(),
+            domain: "mfa.gov.kg".into(),
+            kind: "hijacked".into(),
+            scope: "week".into(),
+            detection: detection.into(),
+        };
+        assert_eq!(stable("VerdictEvent", &event).detection, detection);
+    }
+
+    // Week deltas and the stream checkpoint record: every file a
+    // checkpoint writes re-serializes byte for byte, and resuming from it
+    // restores the same report.
+    let mut analyzer = IncrementalAnalyzer::new(config.clone());
+    let inputs = common::inputs_for(&world, &observations);
+    for week in common::week_slices(&observations).iter().take(30) {
+        let delta = analyzer.ingest_week(week, &inputs);
+        stable("WeekDelta", &delta);
+    }
+    let dir = std::env::temp_dir().join(format!("retrodns-roundtrip-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let store = retrodns::core::CheckpointStore::open(&dir).unwrap();
+    analyzer.checkpoint(&store).unwrap();
+    let mut json_files = 0;
+    let mut pending = vec![dir.clone()];
+    while let Some(path) = pending.pop() {
+        for entry in std::fs::read_dir(&path).unwrap() {
+            let path = entry.unwrap().path();
+            if path.is_dir() {
+                pending.push(path);
+            } else if path.extension().is_some_and(|e| e == "json") {
+                let bytes = std::fs::read(&path).unwrap();
+                let tree: serde::Value = serde_json::from_slice(&bytes).unwrap();
+                assert!(
+                    serde_json::to_vec(&tree).unwrap() == bytes,
+                    "{} does not re-serialize",
+                    path.display()
+                );
+                json_files += 1;
+            }
+        }
+    }
+    assert!(json_files >= 3, "checkpoint wrote {json_files} JSON files");
+    let resumed = IncrementalAnalyzer::resume(config, &store).expect("checkpoint resumes");
+    assert_eq!(
+        serde_json::to_string(resumed.report()).unwrap(),
+        serde_json::to_string(analyzer.report()).unwrap()
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn named_default_function_fills_a_missing_field() {
+    use retrodns::core::inspect::InspectConfig;
+
+    let mut tree: serde::Value =
+        serde_json::from_str(&serde_json::to_string(&InspectConfig::default()).unwrap()).unwrap();
+    let serde::Value::Object(entries) = &mut tree else {
+        panic!("InspectConfig serializes as an object");
+    };
+    entries.retain(|(k, _)| k != "sparse_ns_max_density");
+    let config: InspectConfig =
+        serde_json::from_str(&serde_json::to_string(&tree).unwrap()).unwrap();
+    assert_eq!(config.sparse_ns_max_density, 0.05);
+    assert_eq!(
+        config.sparse_ns_max_density,
+        InspectConfig::default().sparse_ns_max_density
+    );
+}

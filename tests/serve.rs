@@ -257,6 +257,31 @@ fn backpressure_rejects_with_429_and_retry_after() {
 }
 
 #[test]
+fn deeply_nested_job_body_is_rejected_and_server_survives() {
+    let root = temp_root("nesting");
+    let server = start(&root, 1, 1);
+    let addr = server.addr().to_string();
+
+    // 1 MiB of `[`, bare and under an unknown key the spec skips: each is
+    // a 400, not a stack overflow that takes the process down.
+    let brackets = "[".repeat(1 << 20);
+    let under_key = format!("{{\"data_dir\":\"d\",\"x\":{brackets}");
+    for body in [&brackets, &under_key] {
+        let resp = client::post(&addr, "/jobs", body).expect("submit request");
+        assert_eq!(resp.status, 400, "{}", resp.text());
+        if body == &under_key {
+            assert!(resp.text().contains("nesting"), "{}", resp.text());
+        }
+    }
+
+    assert_eq!(client::get(&addr, "/healthz").expect("healthz").status, 200);
+    let jobs = client::get(&addr, "/jobs").expect("job list");
+    assert_eq!(jobs.status, 200, "{}", jobs.text());
+    server.shutdown();
+    let _ = std::fs::remove_dir_all(&root);
+}
+
+#[test]
 fn graceful_shutdown_parks_job_and_restart_resumes() {
     let root = temp_root("park");
     let server = start(&root, 8, 1);
