@@ -257,48 +257,52 @@ impl PipelineBenchReport {
     /// Human-readable table.
     pub fn summary(&self) -> String {
         let mut out = String::new();
-        let _ = writeln!(
-            out,
-            "== Pipeline stage benchmark ({} domains, {} observations, {} workers, best of {}) ==",
-            self.domains, self.observations, self.workers, self.reps
-        );
-        let _ = writeln!(
-            out,
-            "{:<12} {:>8} {:>12} {:>12} {:>14} {:>14} {:>8}",
-            "stage", "items", "serial ms", "par ms", "serial ops/s", "par ops/s", "speedup"
-        );
-        for s in &self.stages {
+        // Only `experiments bench` times the stages; other runs would
+        // print a table of zeros as if they had been measured.
+        if !self.stages.is_empty() {
             let _ = writeln!(
                 out,
-                "{:<12} {:>8} {:>12.2} {:>12.2} {:>14.0} {:>14.0} {:>7.2}x",
-                s.stage,
-                s.items,
-                s.serial_ms,
-                s.parallel_ms,
-                s.serial_ops_per_sec,
-                s.parallel_ops_per_sec,
-                s.speedup
+                "== Pipeline stage benchmark ({} domains, {} observations, {} workers, best of {}) ==",
+                self.domains, self.observations, self.workers, self.reps
+            );
+            let _ = writeln!(
+                out,
+                "{:<12} {:>8} {:>12} {:>12} {:>14} {:>14} {:>8}",
+                "stage", "items", "serial ms", "par ms", "serial ops/s", "par ops/s", "speedup"
+            );
+            for s in &self.stages {
+                let _ = writeln!(
+                    out,
+                    "{:<12} {:>8} {:>12.2} {:>12.2} {:>14.0} {:>14.0} {:>7.2}x",
+                    s.stage,
+                    s.items,
+                    s.serial_ms,
+                    s.parallel_ms,
+                    s.serial_ops_per_sec,
+                    s.parallel_ops_per_sec,
+                    s.speedup
+                );
+            }
+            let _ = writeln!(
+                out,
+                "algorithm speedup: {:.2}x (reference map build vs arena, both at 1 worker)",
+                self.algorithm_speedup
+            );
+            let _ = writeln!(
+                out,
+                "metrics overhead: {:.2} ms metered vs plain parallel e2e ({:+.1}%{})",
+                self.metered_ms,
+                self.metrics_overhead_pct,
+                if self.metrics_overhead_noise {
+                    format!(
+                        ", noise-dominated: raw {:+.1}%",
+                        self.metrics_overhead_raw_pct
+                    )
+                } else {
+                    String::new()
+                }
             );
         }
-        let _ = writeln!(
-            out,
-            "algorithm speedup: {:.2}x (reference map build vs arena, both at 1 worker)",
-            self.algorithm_speedup
-        );
-        let _ = writeln!(
-            out,
-            "metrics overhead: {:.2} ms metered vs plain parallel e2e ({:+.1}%{})",
-            self.metered_ms,
-            self.metrics_overhead_pct,
-            if self.metrics_overhead_noise {
-                format!(
-                    ", noise-dominated: raw {:+.1}%",
-                    self.metrics_overhead_raw_pct
-                )
-            } else {
-                String::new()
-            }
-        );
         if !self.memory.is_empty() {
             let _ = writeln!(
                 out,
@@ -855,6 +859,15 @@ mod tests {
         assert_eq!(back.trajectory.len(), 1);
         assert_eq!(back.trajectory[0].git_rev, "");
         assert_eq!(back.trajectory[0].domains, 0);
+    }
+
+    /// A report without stage measurements prints no stage table.
+    #[test]
+    fn summary_omits_the_unmeasured_stage_table() {
+        let summary = PipelineBenchReport::default().summary();
+        assert!(!summary.contains("Pipeline stage benchmark"), "{summary}");
+        assert!(!summary.contains("algorithm speedup"), "{summary}");
+        assert!(!summary.contains("metrics overhead"), "{summary}");
     }
 
     /// The overhead estimate never goes negative; when noise wins, the

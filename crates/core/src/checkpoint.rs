@@ -4,70 +4,58 @@
 //! [`IncrementalAnalyzer`](crate::incremental::IncrementalAnalyzer)'s
 //! per-week checkpoint. After each ingested week,
 //! [`checkpoint`](crate::incremental::IncrementalAnalyzer::checkpoint)
-//! writes the quarantine-kept observation log's changed parts and a small
-//! record (quarantine histogram, week count, last date, report) into a
+//! saves the quarantine-kept observation log and a small record
+//! (quarantine histogram, week count, last date, report) into a
 //! [`CheckpointStore`]; a killed stream
 //! [`resume`](crate::incremental::IncrementalAnalyzer::resume)s from the
 //! last completed week by rebuilding maps and patterns from the log, and
 //! still produces a `Report` byte-identical to an uninterrupted run (see
 //! `DESIGN.md` §7 and §11). A batch
 //! [`Pipeline::run`](crate::pipeline::Pipeline::run) writes no
-//! checkpoints: rerunning it is cheaper than loading per-stage snapshots
-//! would be.
+//! checkpoints: rerunning it is cheaper than loading snapshots would be.
 //!
 //! ## On-disk format
 //!
-//! * `observations/` — the log as a content-addressed columnar store: a
-//!   `manifest.json` plus `dict-<hash>.bin` / `chunk-<hash>.bin` parts
-//!   named by their content hash, so a save writes only changed parts and
-//!   deletes the ones the new manifest no longer lists;
-//! * `stage_<name>.json` — a record payload, plain serde JSON (for the
-//!   analyzer, a few kilobytes: the log carries everything else);
-//! * `stage_<name>.meta.json` — a [`StageMeta`] envelope: format version,
-//!   stage name, fingerprints of the pipeline configuration and the
-//!   input observations, and the BKDR hash of the payload bytes.
+//! * `observations/dict-<hash>.bin`, `observations/chunk-<hash>.bin` — the
+//!   log's parts, named by their content hash, so a save writes only the
+//!   parts not already on disk;
+//! * `checkpoint.json` — the commit: `{"hash":"<16 hex>","checkpoint":B}`,
+//!   where `B` holds the format version, the config fingerprint, the log's
+//!   [`StoreManifest`] and the record, and `hash` is the BKDR hash of
+//!   `B`'s bytes.
 //!
-//! A state checkpoint is *valid* only if every envelope field matches
-//! and the payload bytes hash to `payload_hash`; an observation log is
-//! valid only if every part matches its manifest hash. Any mismatch —
-//! version bump, different config, different inputs, truncated or
-//! bit-flipped bytes — makes the load fail, and the caller starts over
-//! rather than trusting damaged state.
+//! A save writes the missing parts, then replaces `checkpoint.json` in one
+//! [`write_atomic`], and only then deletes the parts the new manifest does
+//! not list. A crash at any point leaves the previous commit with all of
+//! its parts, or the new one with all of its parts. A load is valid only
+//! if the commit hashes to its header, its version and config fingerprint
+//! match, and every part matches its manifest hash; anything else — a
+//! version bump, changed thresholds, a truncated or bit-flipped byte
+//! anywhere — fails the load, and the caller starts over rather than
+//! trusting damaged state.
 
-use retrodns_scan::DomainObservation;
+use crate::durable::{remove_tmp_files, write_atomic};
 use retrodns_store::{ObservationStore, StoreManifest};
 use retrodns_types::hash::bytes_hash;
 use serde::de::DeserializeOwned;
 use serde::{Deserialize, Serialize};
 use std::path::{Path, PathBuf};
 
-/// Bumped whenever a stage payload's serialized shape changes; old
-/// checkpoints are then invalid wholesale. Version 3 dropped the maps and
-/// patterns from the analyzer's record.
-pub const CHECKPOINT_FORMAT_VERSION: u32 = 3;
+/// Bumped whenever the commit's serialized shape changes; old checkpoints
+/// are then invalid wholesale. Version 4 folded the log manifest, the
+/// record and its envelope into one `checkpoint.json`.
+pub const CHECKPOINT_FORMAT_VERSION: u32 = 4;
 
-/// Fingerprints binding a checkpoint to one (config, inputs) pair.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub struct Fingerprint {
-    /// Hash of the serialized [`PipelineConfig`](crate::pipeline::PipelineConfig).
-    pub config: u64,
-    /// Hash over every input observation's fields.
-    pub inputs: u64,
-}
+/// File name of the commit.
+const CHECKPOINT_FILE: &str = "checkpoint.json";
 
-/// The validation envelope written beside each stage payload.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct StageMeta {
-    /// Checkpoint format version.
-    pub version: u32,
-    /// Stage name (defense against renamed files).
-    pub stage: String,
-    /// Config fingerprint at write time.
-    pub config_hash: u64,
-    /// Input fingerprint at write time.
-    pub inputs_hash: u64,
-    /// BKDR hash of the payload file's bytes.
-    pub payload_hash: u64,
+/// What `checkpoint.json` commits, inside its hash header.
+#[derive(Debug, Serialize, Deserialize)]
+struct Commit<R> {
+    version: u32,
+    config_hash: u64,
+    manifest: StoreManifest,
+    record: R,
 }
 
 /// Fingerprint a pipeline configuration (any serializable config works;
@@ -77,60 +65,27 @@ pub fn config_fingerprint<C: Serialize>(config: &C) -> u64 {
     bytes_hash(&bytes)
 }
 
-/// Fingerprint the input observations without serializing them: a
-/// field-order fold of every record through the workspace BKDR hash.
-/// Deterministic across runs and platforms, and sensitive to any record
-/// edit, insertion, deletion or reordering.
-///
-/// This is [`retrodns_store::rows_fingerprint`] — the canonical
-/// definition both input representations share, so a checkpoint written
-/// from a row vector validates when the same data arrives as a columnar
-/// [`retrodns_store::ObservationStore`] (whose
-/// [`fingerprint`](retrodns_store::ObservationStore::fingerprint) is
-/// computed from its columns, bit-identically).
-pub fn inputs_fingerprint(observations: &[DomainObservation]) -> u64 {
-    retrodns_store::rows_fingerprint(observations)
-}
-
-/// Why a stage checkpoint failed validation (diagnostic; resume treats
-/// every variant the same — start over).
+/// Why a checkpoint failed to load (diagnostic; resume treats every
+/// variant the same — start over).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum InvalidReason {
-    /// Payload or meta file absent.
+    /// No `checkpoint.json`.
     Missing,
-    /// Meta file unreadable or not valid JSON.
-    BadMeta,
+    /// The commit's bytes do not hash to its header, or the header is
+    /// malformed.
+    Corrupt,
+    /// The commit hashed correctly but failed to deserialize.
+    Undeserializable,
     /// Format version mismatch.
     Version,
-    /// Stage name in the envelope does not match the file.
-    WrongStage,
     /// Config fingerprint mismatch (thresholds changed between runs).
     ConfigChanged,
-    /// Input fingerprint mismatch (observations changed between runs).
-    InputsChanged,
-    /// Payload bytes do not hash to the recorded `payload_hash`.
-    Corrupt,
-    /// Payload hashed correctly but failed to deserialize.
-    Undeserializable,
+    /// A log part is missing, or does not match its manifest hash.
+    BadLog,
 }
 
-impl InvalidReason {
-    /// Stable machine-readable label (metric key suffix).
-    pub fn label(&self) -> &'static str {
-        match self {
-            InvalidReason::Missing => "missing",
-            InvalidReason::BadMeta => "bad-meta",
-            InvalidReason::Version => "version",
-            InvalidReason::WrongStage => "wrong-stage",
-            InvalidReason::ConfigChanged => "config-changed",
-            InvalidReason::InputsChanged => "inputs-changed",
-            InvalidReason::Corrupt => "corrupt",
-            InvalidReason::Undeserializable => "undeserializable",
-        }
-    }
-}
-
-/// A checkpoint directory for one stream.
+/// A checkpoint directory for one stream. It holds exactly one
+/// checkpoint: each [`save`](Self::save) replaces the previous one.
 #[derive(Debug)]
 pub struct CheckpointStore {
     dir: PathBuf,
@@ -149,107 +104,34 @@ impl CheckpointStore {
         &self.dir
     }
 
-    /// Remove everything the store writes — every `stage_*` file and the
-    /// observation log — so nothing from an earlier run can be resumed
-    /// (fresh-run semantics). Other files in the directory are left alone.
-    pub fn clear(&self) -> std::io::Result<()> {
-        for entry in std::fs::read_dir(&self.dir)? {
-            let entry = entry?;
-            if entry.file_name().to_string_lossy().starts_with("stage_") {
-                ignore_missing(std::fs::remove_file(entry.path()))?;
-            }
-        }
-        ignore_missing(std::fs::remove_dir_all(self.observations_dir()))
-    }
-
-    /// Path of a stage's payload file.
-    pub fn payload_path(&self, stage: &str) -> PathBuf {
-        self.dir.join(format!("stage_{stage}.json"))
-    }
-
-    /// Path of a stage's meta envelope.
-    pub fn meta_path(&self, stage: &str) -> PathBuf {
-        self.dir.join(format!("stage_{stage}.meta.json"))
-    }
-
-    /// Validate and load one stage checkpoint against `fp`.
-    pub fn load<T: DeserializeOwned>(
-        &self,
-        stage: &str,
-        fp: &Fingerprint,
-    ) -> Result<T, InvalidReason> {
-        let meta_bytes =
-            std::fs::read(self.meta_path(stage)).map_err(|_| InvalidReason::Missing)?;
-        let meta: StageMeta =
-            serde_json::from_slice(&meta_bytes).map_err(|_| InvalidReason::BadMeta)?;
-        if meta.version != CHECKPOINT_FORMAT_VERSION {
-            return Err(InvalidReason::Version);
-        }
-        if meta.stage != stage {
-            return Err(InvalidReason::WrongStage);
-        }
-        if meta.config_hash != fp.config {
-            return Err(InvalidReason::ConfigChanged);
-        }
-        if meta.inputs_hash != fp.inputs {
-            return Err(InvalidReason::InputsChanged);
-        }
-        let payload =
-            std::fs::read(self.payload_path(stage)).map_err(|_| InvalidReason::Missing)?;
-        if bytes_hash(&payload) != meta.payload_hash {
-            return Err(InvalidReason::Corrupt);
-        }
-        serde_json::from_slice(&payload).map_err(|_| InvalidReason::Undeserializable)
-    }
-
-    /// Write one stage checkpoint (payload first, envelope last, so a
-    /// crash mid-write leaves a detectably incomplete checkpoint).
-    pub fn save<T: Serialize>(
-        &self,
-        stage: &str,
-        fp: &Fingerprint,
-        payload: &T,
-    ) -> std::io::Result<()> {
-        let bytes = serde_json::to_vec(payload).expect("stage payload serializes");
-        let meta = StageMeta {
-            version: CHECKPOINT_FORMAT_VERSION,
-            stage: stage.to_string(),
-            config_hash: fp.config,
-            inputs_hash: fp.inputs,
-            payload_hash: bytes_hash(&bytes),
-        };
-        // Remove any stale envelope first: if the payload write below
-        // succeeds but the envelope write crashes, the old envelope must
-        // not validate the new payload (it won't — hash mismatch — but a
-        // missing envelope is the cleaner failure).
-        ignore_missing(std::fs::remove_file(self.meta_path(stage)))?;
-        std::fs::write(self.payload_path(stage), &bytes)?;
-        std::fs::write(
-            self.meta_path(stage),
-            serde_json::to_vec(&meta).expect("meta serializes"),
-        )
-    }
-
-    /// Directory holding the content-addressed observation checkpoint.
-    pub fn observations_dir(&self) -> PathBuf {
+    /// Directory holding the log's content-addressed parts.
+    fn observations_dir(&self) -> PathBuf {
         self.dir.join("observations")
     }
 
-    /// Checkpoint a columnar observation store incrementally: the
-    /// dictionary and every chunk are written to files *named by their
-    /// content hash* (already computed when the store was sealed — no
-    /// re-hashing here), so a part whose file already exists is skipped
-    /// without being re-serialized. A store that shares chunks with the
-    /// previous checkpoint only pays for the chunks that changed; an
-    /// identical store writes nothing but the manifest. Once the new
-    /// manifest is written, every part it does not list is deleted, so
-    /// the directory holds exactly the live checkpoint.
-    ///
-    /// Returns the number of part files actually written.
-    pub fn save_observations(&self, store: &ObservationStore) -> std::io::Result<usize> {
+    /// Remove the checkpoint — `checkpoint.json` and the observation
+    /// parts — so nothing from an earlier run can be resumed (fresh-run
+    /// semantics). Other files in the directory are left alone.
+    pub fn clear(&self) -> std::io::Result<()> {
+        ignore_missing(std::fs::remove_file(self.dir.join(CHECKPOINT_FILE)))?;
+        ignore_missing(std::fs::remove_dir_all(self.observations_dir()))
+    }
+
+    /// Replace the checkpoint with `log` and `record`, bound to
+    /// `config_hash`. Parts already on disk are skipped without being
+    /// re-encoded (their names are the content hashes the store computed
+    /// when it sealed them), so a log that shares chunks with the previous
+    /// checkpoint only pays for the chunks that changed. Returns the
+    /// number of part files written.
+    pub fn save<R: Serialize>(
+        &self,
+        config_hash: u64,
+        log: &ObservationStore,
+        record: &R,
+    ) -> std::io::Result<usize> {
         let dir = self.observations_dir();
         std::fs::create_dir_all(&dir)?;
-        let manifest = store.manifest();
+        let manifest = log.manifest();
         let parts = part_names(&manifest);
         let mut written = 0usize;
         for (i, name) in parts.iter().enumerate() {
@@ -257,50 +139,84 @@ impl CheckpointStore {
             if !path.exists() {
                 // Part 0 is the dictionary, part `c + 1` is chunk `c`.
                 let bytes = match i {
-                    0 => store.encode_dict(),
-                    c => store.encode_chunk(c - 1),
+                    0 => log.encode_dict(),
+                    c => log.encode_chunk(c - 1),
                 };
-                std::fs::write(&path, bytes)?;
+                write_atomic(&path, &bytes)?;
                 written += 1;
             }
         }
-        // Manifest last: a crash mid-write leaves either the previous
-        // manifest with all of its parts, or none.
-        std::fs::write(
-            dir.join(MANIFEST),
-            serde_json::to_vec(&manifest).expect("manifest serializes"),
-        )?;
-        // Only now are the previous manifest's parts unreachable. A part
-        // that fails to delete is garbage no load ever reads.
+        // The commit point: until this rename the previous checkpoint is
+        // the valid one, and all of its parts are still on disk.
+        let body = serde_json::to_vec(&Commit {
+            version: CHECKPOINT_FORMAT_VERSION,
+            config_hash,
+            manifest,
+            record,
+        })
+        .expect("checkpoint serializes");
+        let mut file = header(&body).into_bytes();
+        file.extend_from_slice(&body);
+        file.push(b'}');
+        write_atomic(&self.dir.join(CHECKPOINT_FILE), &file)?;
+        // Only now are the previous checkpoint's parts unreachable. A file
+        // that fails to delete is garbage no load ever reads; the next
+        // save retries it. Nothing else writes these names (the store's
+        // directory is held under a `DirLock`), so the sweep is safe.
+        let _ = remove_tmp_files(&self.dir, CHECKPOINT_FILE);
         for entry in std::fs::read_dir(&dir)?.flatten() {
-            let name = entry.file_name().to_string_lossy().into_owned();
-            if name != MANIFEST && !parts.contains(&name) {
+            let name = entry.file_name();
+            if !parts.iter().any(|p| name == p.as_str()) {
                 let _ = std::fs::remove_file(entry.path());
             }
         }
         Ok(written)
     }
 
-    /// Load the observation checkpoint written by
-    /// [`save_observations`](Self::save_observations), re-verifying every
-    /// part against the manifest's content hashes. Any missing, corrupt,
-    /// or undecodable part yields `None` — recompute rather than trust
-    /// damaged state.
-    pub fn load_observations(&self) -> Option<ObservationStore> {
+    /// Load the checkpoint [`save`](Self::save) committed, verified: the
+    /// commit against its hash header, version and `config_hash`, and
+    /// every log part against its manifest hash.
+    pub fn load<R: DeserializeOwned>(
+        &self,
+        config_hash: u64,
+    ) -> Result<(ObservationStore, R), InvalidReason> {
+        let file =
+            std::fs::read(self.dir.join(CHECKPOINT_FILE)).map_err(|_| InvalidReason::Missing)?;
+        let body = verified_body(&file).ok_or(InvalidReason::Corrupt)?;
+        let commit: Commit<R> =
+            serde_json::from_slice(body).map_err(|_| InvalidReason::Undeserializable)?;
+        if commit.version != CHECKPOINT_FORMAT_VERSION {
+            return Err(InvalidReason::Version);
+        }
+        if commit.config_hash != config_hash {
+            return Err(InvalidReason::ConfigChanged);
+        }
         let dir = self.observations_dir();
-        let manifest: StoreManifest =
-            serde_json::from_slice(&std::fs::read(dir.join(MANIFEST)).ok()?).ok()?;
-        let mut parts = part_names(&manifest)
+        let mut parts = part_names(&commit.manifest)
             .into_iter()
-            .map(|name| std::fs::read(dir.join(name)).ok());
-        let dict = parts.next()??;
-        let chunks: Vec<Vec<u8>> = parts.collect::<Option<_>>()?;
-        ObservationStore::from_parts(&manifest, &dict, &chunks).ok()
+            .map(|name| std::fs::read(dir.join(name)).map_err(|_| InvalidReason::BadLog));
+        let dict = parts.next().ok_or(InvalidReason::BadLog)??;
+        let chunks: Vec<Vec<u8>> = parts.collect::<Result<_, _>>()?;
+        let log = ObservationStore::from_parts(&commit.manifest, &dict, &chunks)
+            .map_err(|_| InvalidReason::BadLog)?;
+        Ok((log, commit.record))
     }
 }
 
-/// File name of the observation log's manifest.
-const MANIFEST: &str = "manifest.json";
+/// The header that opens a commit file: its body's hash, in the first
+/// field of a JSON object whose second field is the body.
+fn header(body: &[u8]) -> String {
+    format!("{{\"hash\":\"{:016x}\",\"checkpoint\":", bytes_hash(body))
+}
+
+/// Length of every [`header`]: 16 hex digits between fixed literals.
+const HEADER_LEN: usize = 40;
+
+/// The body of a commit file whose bytes hash to its header, or `None`.
+fn verified_body(file: &[u8]) -> Option<&[u8]> {
+    let body = file.get(HEADER_LEN..)?.strip_suffix(b"}")?;
+    (file[..HEADER_LEN] == *header(body).as_bytes()).then_some(body)
+}
 
 /// File names of the parts a manifest lists: the dictionary first, then
 /// every chunk in order.
@@ -326,13 +242,7 @@ fn ignore_missing(result: std::io::Result<()>) -> std::io::Result<()> {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn fp() -> Fingerprint {
-        Fingerprint {
-            config: 11,
-            inputs: 22,
-        }
-    }
+    use retrodns_scan::DomainObservation;
 
     /// A fresh store in a directory of its own: tests run in parallel,
     /// so each call takes the next number from a process-wide counter.
@@ -348,68 +258,108 @@ mod tests {
         CheckpointStore::open(dir).unwrap()
     }
 
+    /// A log of `n` rows over a fixed pool of domains and certificates,
+    /// so the dictionary stays identical as more rows are appended.
+    fn log(n: usize) -> ObservationStore {
+        use retrodns_cert::CertId;
+        use retrodns_types::{Asn, Day, Ipv4Addr};
+        let rows: Vec<DomainObservation> = (0..n)
+            .map(|i| DomainObservation {
+                domain: format!("d{:05}.example.com", i % 1024).parse().unwrap(),
+                date: Day((i / 1024) as u32 * 7),
+                ip: Ipv4Addr(i as u32),
+                asn: Some(Asn(13335)),
+                country: "US".parse().ok(),
+                cert: CertId((i % 1024) as u64),
+                trusted: true,
+            })
+            .collect();
+        ObservationStore::from_observations(&rows).unwrap()
+    }
+
+    /// Every file under the store's directory, relative and sorted.
+    fn files(s: &CheckpointStore) -> Vec<String> {
+        let mut out = Vec::new();
+        for entry in std::fs::read_dir(s.dir()).unwrap() {
+            let entry = entry.unwrap();
+            let name = entry.file_name().to_string_lossy().into_owned();
+            if entry.file_type().unwrap().is_dir() {
+                for part in std::fs::read_dir(entry.path()).unwrap() {
+                    let part = part.unwrap().file_name();
+                    out.push(format!("{name}/{}", part.to_string_lossy()));
+                }
+            } else {
+                out.push(name);
+            }
+        }
+        out.sort();
+        out
+    }
+
+    /// The files a checkpoint of `log` consists of.
+    fn live(log: &ObservationStore) -> Vec<String> {
+        let mut out: Vec<String> = part_names(&log.manifest())
+            .into_iter()
+            .map(|p| format!("observations/{p}"))
+            .collect();
+        out.push(CHECKPOINT_FILE.to_string());
+        out.sort();
+        out
+    }
+
+    /// Copy `from`'s checkpoint files into `to` without deleting any: the
+    /// parts only, or the commit too.
+    fn copy_checkpoint(from: &CheckpointStore, to: &CheckpointStore, commit: bool) {
+        std::fs::create_dir_all(to.observations_dir()).unwrap();
+        for name in files(from) {
+            if commit || name != CHECKPOINT_FILE {
+                std::fs::copy(from.dir().join(&name), to.dir().join(&name)).unwrap();
+            }
+        }
+    }
+
+    /// Rewrite the commit's body through `edit`, under a fresh, valid
+    /// hash header.
+    fn edit_commit(s: &CheckpointStore, edit: impl FnOnce(String) -> String) {
+        let path = s.dir().join(CHECKPOINT_FILE);
+        let file = std::fs::read(&path).unwrap();
+        let body = edit(String::from_utf8(verified_body(&file).unwrap().to_vec()).unwrap());
+        std::fs::write(&path, format!("{}{body}}}", header(body.as_bytes()))).unwrap();
+    }
+
     #[test]
-    fn save_load_round_trip() {
+    fn save_load_round_trip_leaves_only_the_live_files() {
         let s = store();
-        s.save("maps", &fp(), &vec![1u32, 2, 3]).unwrap();
-        let back: Vec<u32> = s.load("maps", &fp()).unwrap();
-        assert_eq!(back, vec![1, 2, 3]);
+        let a = log(100);
+        s.save(11, &a, &vec![1u32, 2, 3]).unwrap();
+        let (back, record) = s.load::<Vec<u32>>(11).unwrap();
+        assert_eq!(back, a);
+        assert_eq!(record, vec![1, 2, 3]);
+        assert_eq!(files(&s), live(&a));
         let _ = std::fs::remove_dir_all(s.dir());
     }
 
     #[test]
-    fn observation_checkpoints_are_incremental() {
-        use retrodns_cert::CertId;
-        use retrodns_types::{Asn, Day, Ipv4Addr};
-        let rows = |n: usize| -> Vec<DomainObservation> {
-            (0..n)
-                .map(|i| DomainObservation {
-                    // A fixed pool of domains/certs keeps the dictionary
-                    // identical when more rows are appended.
-                    domain: format!("d{:05}.example.com", i % 1024).parse().unwrap(),
-                    date: Day((i / 1024) as u32 * 7),
-                    ip: Ipv4Addr(i as u32),
-                    asn: Some(Asn(13335)),
-                    country: "US".parse().ok(),
-                    cert: CertId((i % 1024) as u64),
-                    trusted: true,
-                })
-                .collect()
-        };
-        let dir = std::env::temp_dir().join(format!("retrodns-ckpt-obs-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        let s = CheckpointStore::open(dir).unwrap();
+    fn saves_write_only_changed_parts() {
+        let s = store();
         let chunk = retrodns_store::CHUNK_ROWS;
-        // The directory holds exactly the manifest and the live parts.
-        let files_are = |store: &ObservationStore| {
-            let mut on_disk: Vec<String> = std::fs::read_dir(s.observations_dir())
-                .unwrap()
-                .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
-                .collect();
-            on_disk.sort();
-            let mut live = part_names(&store.manifest());
-            live.push(MANIFEST.to_string());
-            live.sort();
-            assert_eq!(on_disk, live);
-        };
-
         // Two chunks (one full, one half): first save writes dict + both.
-        let a = ObservationStore::from_observations(&rows(chunk + chunk / 2)).unwrap();
-        assert_eq!(s.save_observations(&a).unwrap(), 3);
-        // Identical store: nothing to write.
-        assert_eq!(s.save_observations(&a).unwrap(), 0);
-        assert_eq!(s.load_observations().unwrap(), a);
-        files_are(&a);
+        let a = log(chunk + chunk / 2);
+        assert_eq!(s.save(1, &a, &0u32).unwrap(), 3);
+        // Identical log: nothing but the commit to write.
+        assert_eq!(s.save(1, &a, &1u32).unwrap(), 0);
+        assert_eq!(s.load::<u32>(1).unwrap(), (a.clone(), 1));
+        assert_eq!(files(&s), live(&a));
 
-        // Grow the data: chunk 0 and the dictionary are unchanged (the
+        // Grow the log: chunk 0 and the dictionary are unchanged (the
         // appended rows reuse existing domains/certs), so only the
         // changed tail chunk and the new third chunk are written.
-        let b = ObservationStore::from_observations(&rows(2 * chunk + 100)).unwrap();
+        let b = log(2 * chunk + 100);
         assert_eq!(b.chunk_hashes()[0], a.chunk_hashes()[0]);
-        assert_eq!(s.save_observations(&b).unwrap(), 2);
-        assert_eq!(s.load_observations().unwrap(), b);
+        assert_eq!(s.save(1, &b, &2u32).unwrap(), 2);
+        assert_eq!(s.load::<u32>(1).unwrap(), (b.clone(), 2));
         // The replaced tail chunk is gone; the shared chunk 0 stays.
-        files_are(&b);
+        assert_eq!(files(&s), live(&b));
 
         // A damaged part is detected: the load refuses rather than
         // resuming from corrupt observations.
@@ -420,77 +370,102 @@ mod tests {
         let mid = bytes.len() / 2;
         bytes[mid] ^= 0x10;
         std::fs::write(&path, &bytes).unwrap();
-        assert!(s.load_observations().is_none());
+        assert_eq!(s.load::<u32>(1).unwrap_err(), InvalidReason::BadLog);
         let _ = std::fs::remove_dir_all(s.dir());
     }
 
     #[test]
-    fn fingerprint_mismatch_invalidates() {
+    fn mismatches_invalidate() {
         let s = store();
-        s.save("maps", &fp(), &vec![1u32]).unwrap();
-        let other = Fingerprint {
-            config: 99,
-            inputs: 22,
-        };
+        assert_eq!(s.load::<u32>(11).unwrap_err(), InvalidReason::Missing);
+        s.save(11, &log(10), &7u32).unwrap();
+        assert_eq!(s.load::<u32>(99).unwrap_err(), InvalidReason::ConfigChanged);
         assert_eq!(
-            s.load::<Vec<u32>>("maps", &other).unwrap_err(),
-            InvalidReason::ConfigChanged
+            s.load::<String>(11).unwrap_err(),
+            InvalidReason::Undeserializable
         );
-        let other = Fingerprint {
-            config: 11,
-            inputs: 99,
-        };
-        assert_eq!(
-            s.load::<Vec<u32>>("maps", &other).unwrap_err(),
-            InvalidReason::InputsChanged
-        );
+        // Version 3 is the last format with a separate manifest and
+        // envelope; a commit claiming it must not load.
+        edit_commit(&s, |body| {
+            body.replacen("\"version\":4", "\"version\":3", 1)
+        });
+        assert_eq!(s.load::<u32>(11).unwrap_err(), InvalidReason::Version);
         let _ = std::fs::remove_dir_all(s.dir());
     }
 
     #[test]
-    fn corrupt_payload_detected() {
+    fn a_changed_commit_byte_is_detected() {
         let s = store();
-        s.save("maps", &fp(), &vec![1u32, 2, 3]).unwrap();
-        let path = s.payload_path("maps");
-        let mut bytes = std::fs::read(&path).unwrap();
-        bytes[0] ^= 0xFF;
-        std::fs::write(&path, &bytes).unwrap();
-        assert_eq!(
-            s.load::<Vec<u32>>("maps", &fp()).unwrap_err(),
-            InvalidReason::Corrupt
-        );
+        s.save(11, &log(10), &vec![1u32, 2, 3]).unwrap();
+        let path = s.dir().join(CHECKPOINT_FILE);
+        let good = std::fs::read(&path).unwrap();
+        // Bit 5 of the first hash digit (which turns a hex letter into
+        // its capital, the same value), a body byte, the closing brace.
+        for (pos, flip) in [(9, 0x20), (HEADER_LEN + 3, 0x01), (good.len() - 1, 0x02)] {
+            let mut bytes = good.clone();
+            bytes[pos] ^= flip;
+            std::fs::write(&path, &bytes).unwrap();
+            assert_eq!(
+                s.load::<Vec<u32>>(11).unwrap_err(),
+                InvalidReason::Corrupt,
+                "flip at byte {pos}"
+            );
+        }
         let _ = std::fs::remove_dir_all(s.dir());
     }
 
+    /// A save killed after writing the new parts but before its commit
+    /// leaves the previous checkpoint loadable.
     #[test]
-    fn older_format_version_is_refused() {
-        use crate::incremental::{IncrementalAnalyzer, INCREMENTAL_STAGE};
-        use crate::pipeline::PipelineConfig;
-
-        // Version 2 is the last format whose record carried the maps and
-        // patterns; its envelope must not validate today's payload.
-        let downgrade = |s: &CheckpointStore, stage: &str| {
-            let path = s.meta_path(stage);
-            let mut meta: StageMeta =
-                serde_json::from_slice(&std::fs::read(&path).unwrap()).unwrap();
-            meta.version = 2;
-            std::fs::write(&path, serde_json::to_vec(&meta).unwrap()).unwrap();
-        };
+    fn crash_before_the_commit_loads_the_previous_week() {
+        let chunk = retrodns_store::CHUNK_ROWS;
+        let (a, b) = (log(chunk / 2), log(chunk + 10));
         let s = store();
-        s.save("maps", &fp(), &vec![1u32]).unwrap();
-        downgrade(&s, "maps");
-        assert_eq!(
-            s.load::<Vec<u32>>("maps", &fp()).unwrap_err(),
-            InvalidReason::Version
-        );
+        s.save(1, &a, &10u32).unwrap();
+        let next = store();
+        next.save(1, &b, &11u32).unwrap();
+        copy_checkpoint(&next, &s, false);
+        assert_eq!(s.load::<u32>(1).unwrap(), (a, 10));
+        // The next save commits over the debris and sweeps it.
+        s.save(1, &b, &11u32).unwrap();
+        assert_eq!(files(&s), live(&b));
+        let _ = std::fs::remove_dir_all(s.dir());
+        let _ = std::fs::remove_dir_all(next.dir());
+    }
 
-        let config = PipelineConfig::default();
-        IncrementalAnalyzer::new(config.clone())
-            .checkpoint(&s)
-            .unwrap();
-        assert!(IncrementalAnalyzer::resume(config.clone(), &s).is_some());
-        downgrade(&s, INCREMENTAL_STAGE);
-        assert!(IncrementalAnalyzer::resume(config, &s).is_none());
+    /// A save killed after its commit but before it deleted the parts it
+    /// replaced leaves the new checkpoint loadable.
+    #[test]
+    fn crash_after_the_commit_loads_the_new_week() {
+        let chunk = retrodns_store::CHUNK_ROWS;
+        let (a, b) = (log(chunk / 2), log(chunk + 10));
+        let s = store();
+        s.save(1, &a, &10u32).unwrap();
+        let next = store();
+        next.save(1, &b, &11u32).unwrap();
+        copy_checkpoint(&next, &s, true);
+        assert_ne!(files(&s), live(&b), "the old tail chunk is still there");
+        assert_eq!(s.load::<u32>(1).unwrap(), (b.clone(), 11));
+        s.save(1, &b, &11u32).unwrap();
+        assert_eq!(files(&s), live(&b));
+        let _ = std::fs::remove_dir_all(s.dir());
+        let _ = std::fs::remove_dir_all(next.dir());
+    }
+
+    /// A save killed between writing its commit's tmp file and renaming
+    /// it leaves the tmp file, which loads ignore and the next save
+    /// removes.
+    #[test]
+    fn a_leftover_commit_tmp_is_ignored_then_swept() {
+        let (a, b) = (log(10), log(20));
+        let s = store();
+        s.save(1, &a, &10u32).unwrap();
+        let tmp = s.dir().join(format!("{CHECKPOINT_FILE}.tmp.7"));
+        std::fs::write(&tmp, b"{\"hash\":\"0").unwrap();
+        assert_eq!(s.load::<u32>(1).unwrap(), (a, 10));
+        s.save(1, &b, &11u32).unwrap();
+        assert!(!tmp.exists(), "the orphaned commit tmp survived a save");
+        assert_eq!(files(&s), live(&b));
         let _ = std::fs::remove_dir_all(s.dir());
     }
 
@@ -518,14 +493,9 @@ mod tests {
             window: world.config.window.clone(),
             ..PipelineConfig::default()
         };
-        let first = observations.iter().map(|o| o.date).min().unwrap();
-        let week: Vec<_> = observations
-            .iter()
-            .filter(|o| o.date == first)
-            .cloned()
-            .collect();
+        let week = &crate::incremental::week_batches(&observations)[0];
         let mut analyzer = IncrementalAnalyzer::new(config.clone());
-        analyzer.ingest_week(&week, &inputs);
+        analyzer.ingest_week(week, &inputs);
 
         let s = store();
         analyzer.checkpoint(&s).unwrap();
@@ -533,34 +503,7 @@ mod tests {
         assert!(IncrementalAnalyzer::resume(config.clone(), &s).is_some());
         s.clear().unwrap();
         assert!(IncrementalAnalyzer::resume(config, &s).is_none());
-        assert!(!s.observations_dir().exists(), "observation parts survived");
-        let left: Vec<String> = std::fs::read_dir(s.dir())
-            .unwrap()
-            .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
-            .collect();
-        assert_eq!(left, ["report.json"], "clear touched only stage files");
+        assert_eq!(files(&s), ["report.json"], "clear touched other files");
         let _ = std::fs::remove_dir_all(s.dir());
-    }
-
-    #[test]
-    fn inputs_fingerprint_is_order_and_field_sensitive() {
-        use retrodns_cert::CertId;
-        use retrodns_types::{Day, Ipv4Addr};
-        let obs = |dom: &str, date: u32| DomainObservation {
-            domain: dom.parse().unwrap(),
-            date: Day(date),
-            ip: Ipv4Addr(1),
-            asn: None,
-            country: None,
-            cert: CertId(5),
-            trusted: false,
-        };
-        let a = vec![obs("a.com", 1), obs("b.com", 2)];
-        let b = vec![obs("b.com", 2), obs("a.com", 1)];
-        assert_ne!(inputs_fingerprint(&a), inputs_fingerprint(&b));
-        let mut c = a.clone();
-        c[0].date = Day(3);
-        assert_ne!(inputs_fingerprint(&a), inputs_fingerprint(&c));
-        assert_eq!(inputs_fingerprint(&a), inputs_fingerprint(&a.clone()));
     }
 }

@@ -32,21 +32,22 @@
 //!
 //! Persistence is the system's one checkpoint format (see
 //! `core::checkpoint`), and the kept-row observation log *is* the
-//! durable state: it is saved through the content-addressed store
-//! manifest (only changed parts rewrite, see [`ObservationStore::append`])
-//! beside a small [`INCREMENTAL_STAGE`] record — quarantine histogram,
-//! week count, last date and the report — whose inputs-fingerprint is
-//! the log's. Maps and patterns are never written:
-//! [`IncrementalAnalyzer::resume`] rebuilds them from the log through
-//! the batch map and classify engines. A
-//! killed analyzer resumes mid-stream if and only if the record on disk
-//! provably matches the logged stream and configuration. On the
-//! 2 000-domain benchmark world a weekly checkpoint writes ~0.4 MB
+//! durable state: each [`IncrementalAnalyzer::checkpoint`] writes the
+//! log's changed content-addressed parts (see [`ObservationStore::append`])
+//! and then commits, in one atomic file, the log's manifest beside a small
+//! record — quarantine histogram, week count, last date and the report.
+//! Maps and patterns are never written: [`IncrementalAnalyzer::resume`]
+//! rebuilds them from the log through the batch map and classify engines.
+//! A killed analyzer resumes from the last committed week. The record does
+//! not say whose data the log came from, so a caller that resumes over a
+//! data set first checks
+//! [`holds_first_batches`](IncrementalAnalyzer::holds_first_batches). On
+//! the 2 000-domain benchmark world a weekly checkpoint writes ~0.4 MB
 //! (the log's tail chunk and dictionary) instead of the ~6 MB the maps
 //! and patterns took, and a resume half-way through the study costs
 //! about a third of what loading them did.
 
-use crate::checkpoint::{config_fingerprint, CheckpointStore, Fingerprint};
+use crate::checkpoint::{config_fingerprint, CheckpointStore};
 use crate::classify::{classify, Pattern};
 use crate::inspect::{DegradedVerdict, DetectedHijack, DetectedTarget};
 use crate::map::{DeploymentMap, MapBuilder};
@@ -59,11 +60,17 @@ use retrodns_types::{Day, DomainName};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
-/// Checkpoint stage name for the analyzer's record: quarantine
-/// histogram, week count, last date and report — a few kilobytes. With
-/// the observation log beside it (from which resume rebuilds maps and
-/// patterns), this is the only checkpoint the system writes.
-pub const INCREMENTAL_STAGE: &str = "incremental";
+/// Slice observations into per-scan-date batches, oldest first: the
+/// weeks a stream feeds to [`IncrementalAnalyzer::ingest_week`]. The
+/// slicing is deterministic, so batch `i` is batch `i` again on every
+/// resume.
+pub fn week_batches(observations: &[DomainObservation]) -> Vec<Vec<DomainObservation>> {
+    let mut by_date: BTreeMap<Day, Vec<DomainObservation>> = BTreeMap::new();
+    for o in observations {
+        by_date.entry(o.date).or_default().push(o.clone());
+    }
+    by_date.into_values().collect()
+}
 
 /// The verdict changes one ingested week introduced, relative to the
 /// report before it. Keyed by domain (reports hold at most one hijack
@@ -256,13 +263,31 @@ impl IncrementalAnalyzer {
         self.weeks
     }
 
-    /// Fingerprint of the observation log: the quarantine-kept rows of
-    /// every ingested batch, in order, as
-    /// [`retrodns_store::rows_fingerprint`] defines it. A caller resuming
-    /// over a data set compares it against that data's first
-    /// [`weeks`](Self::weeks) batches to check the checkpoint is theirs.
-    pub fn log_fingerprint(&self) -> u64 {
-        self.log.fingerprint()
+    /// Did this analyzer ingest exactly the first [`weeks`](Self::weeks)
+    /// of `batches`? Its log must fingerprint like those batches'
+    /// quarantine-kept rows, and its quarantine histogram must match
+    /// theirs. [`resume`](Self::resume) cannot tell whose data a
+    /// checkpoint's log came from; a caller resuming over a data set asks
+    /// this before it carries on, and starts afresh on `false`.
+    pub fn holds_first_batches(
+        &self,
+        batches: &[Vec<DomainObservation>],
+        inputs: &AnalystInputs,
+    ) -> bool {
+        let Some(ingested) = batches.get(..self.weeks as usize) else {
+            return false;
+        };
+        let mut kept_rows = Vec::new();
+        let mut rejected: BTreeMap<String, usize> = BTreeMap::new();
+        for batch in ingested {
+            let (kept, reasons) = quarantine(batch, &self.pipeline.config.window, inputs.certs);
+            kept_rows.extend_from_slice(&kept);
+            for (reason, n) in reasons {
+                *rejected.entry(reason).or_insert(0) += n;
+            }
+        }
+        retrodns_store::rows_fingerprint(&kept_rows) == self.log.fingerprint()
+            && rejected == self.quarantined
     }
 
     /// Latest scan date ingested, if any.
@@ -349,31 +374,26 @@ impl IncrementalAnalyzer {
         delta
     }
 
-    /// Persist the analyzer into `store`: the kept-row observation log
-    /// through the content-addressed manifest (unchanged chunks are
-    /// skipped) and the small [`INCREMENTAL_STAGE`] record (quarantine
-    /// histogram, week count, last date, report),
-    /// bound to the configuration and the log's fingerprint.
+    /// Persist the analyzer into `store`, replacing its checkpoint: the
+    /// kept-row observation log (parts already on disk are skipped) and
+    /// the small record (quarantine histogram, week count, last date,
+    /// report), bound to the configuration.
     pub fn checkpoint(&self, store: &CheckpointStore) -> std::io::Result<()> {
-        store.save_observations(&self.log)?;
-        let fp = Fingerprint {
-            config: config_fingerprint(&self.pipeline.config),
-            inputs: self.log.fingerprint(),
-        };
         let state = IncrementalState {
             quarantined: self.quarantined.clone(),
             weeks: self.weeks,
             last_date: self.last_date,
             report: self.report.clone(),
         };
-        store.save(INCREMENTAL_STAGE, &fp, &state)
+        let config_hash = config_fingerprint(&self.pipeline.config);
+        store.save(config_hash, &self.log, &state).map(|_| ())
     }
 
     /// Resume a previously checkpointed analyzer from `store`. Returns
-    /// `None` when there is nothing valid to resume: no log, a damaged
-    /// log (content hashes fail), or a record that does not match this
-    /// `config` and the logged stream — callers then start from
-    /// [`new`](Self::new) and re-ingest.
+    /// `None` when there is nothing valid to resume: no checkpoint, a
+    /// damaged one (content hashes fail), or one written under another
+    /// `config` — callers then start from [`new`](Self::new) and
+    /// re-ingest.
     ///
     /// Maps and patterns are rebuilt from the log by the batch engine
     /// ([`MapBuilder::build_store_stats`], then
@@ -381,12 +401,8 @@ impl IncrementalAnalyzer {
     /// yields exactly the maps the weekly merges produced. The log holds
     /// only quarantine-kept rows, so stage 0 is not rerun.
     pub fn resume(config: PipelineConfig, store: &CheckpointStore) -> Option<IncrementalAnalyzer> {
-        let log = store.load_observations()?;
-        let fp = Fingerprint {
-            config: config_fingerprint(&config),
-            inputs: log.fingerprint(),
-        };
-        let state: IncrementalState = store.load(INCREMENTAL_STAGE, &fp).ok()?;
+        let (log, state): (ObservationStore, IncrementalState) =
+            store.load(config_fingerprint(&config)).ok()?;
         let mut analyzer = IncrementalAnalyzer::new(config);
         let workers = analyzer.pipeline.config.workers;
         let (maps, _) = analyzer.builder.build_store_stats(&log, None, workers);

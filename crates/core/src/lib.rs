@@ -27,6 +27,7 @@
 pub mod baseline;
 pub mod checkpoint;
 pub mod classify;
+pub mod durable;
 pub mod incremental;
 pub mod inspect;
 pub mod lock;
@@ -42,9 +43,9 @@ pub mod score;
 pub mod shortlist;
 pub mod sources;
 
-pub use checkpoint::{CheckpointStore, Fingerprint};
+pub use checkpoint::CheckpointStore;
 pub use classify::{Pattern, StableKind, TransientKind, TransitionKind};
-pub use incremental::{IncrementalAnalyzer, WeekDelta};
+pub use incremental::{week_batches, IncrementalAnalyzer, WeekDelta};
 pub use inspect::{DegradedVerdict, DetectedHijack, DetectedTarget, DetectionType, InspectOutcome};
 pub use lock::{DirLock, LockError};
 pub use map::{Deployment, DeploymentGroup, DeploymentMap, MapBuilder};

@@ -1,8 +1,8 @@
 //! Checkpoint-directory lockfile.
 //!
 //! Two processes pointed at the same `--checkpoint-dir` would interleave
-//! stage snapshots and observation-log chunks, corrupting both runs in a
-//! way the content hashes only catch after the fact. [`DirLock`] prevents
+//! commits and observation-log parts, corrupting both runs in a way the
+//! content hashes only catch after the fact. [`DirLock`] prevents
 //! that up front: a `lock.json` in the checkpoint dir records the holder's
 //! PID, a random token, and a heartbeat timestamp. Acquisition is atomic
 //! (`O_CREAT | O_EXCL`); a lock whose holder is dead or whose heartbeat is
@@ -18,6 +18,8 @@ use std::path::{Path, PathBuf};
 use std::time::{SystemTime, UNIX_EPOCH};
 
 use serde::{Deserialize, Serialize};
+
+use crate::durable::write_atomic;
 
 /// File name of the lock inside the guarded directory.
 pub const LOCK_FILE: &str = "lock.json";
@@ -172,8 +174,8 @@ impl DirLock {
     }
 
     /// Refresh the heartbeat so other processes keep seeing the lock as
-    /// live. Written atomically (tmp + rename) so a concurrent staleness
-    /// probe never reads a torn file.
+    /// live. Written with [`write_atomic`] so a concurrent staleness probe
+    /// never reads a torn file.
     pub fn heartbeat(&self) -> io::Result<()> {
         let info = LockInfo {
             pid: std::process::id(),
@@ -181,9 +183,7 @@ impl DirLock {
             heartbeat_ms: now_ms(),
         };
         let body = serde_json::to_string(&info).map_err(|e| io::Error::other(e.to_string()))?;
-        let tmp = self.path.with_extension("json.tmp");
-        fs::write(&tmp, body)?;
-        fs::rename(&tmp, &self.path)
+        write_atomic(&self.path, body.as_bytes())
     }
 
     /// Milliseconds after which other processes may take this lock over if

@@ -93,7 +93,7 @@ fn fingerprints_transfer_between_representations() {
     let observations: Vec<DomainObservation> = world.observations(&dataset);
     let store = ObservationStore::from_observations(&observations).unwrap();
     assert_eq!(
-        retrodns_core::checkpoint::inputs_fingerprint(&observations),
+        retrodns_store::rows_fingerprint(&observations),
         store.fingerprint()
     );
 }

@@ -4,7 +4,7 @@
 
 use proptest::prelude::*;
 use retrodns_cert::CertId;
-use retrodns_core::checkpoint::{CheckpointStore, Fingerprint};
+use retrodns_core::checkpoint::CheckpointStore;
 use retrodns_core::classify::{classify, ClassifyConfig};
 use retrodns_core::map::MapBuilder;
 use retrodns_scan::DomainObservation;
@@ -131,13 +131,14 @@ proptest! {
         prop_assert_eq!(a, b);
     }
 
-    /// Any truncation or bit flip of a checkpoint payload file is
-    /// detected by the payload hash: `load` refuses the damaged
-    /// checkpoint (forcing a clean recompute) rather than resuming from
-    /// garbage, and a re-save fully recovers.
+    /// Any truncation or bit flip anywhere in `checkpoint.json` — its
+    /// hash header, the log manifest, the record — is detected: `load`
+    /// refuses the damaged checkpoint (forcing a clean recompute) rather
+    /// than resuming from garbage, and a re-save fully recovers.
     #[test]
     fn checkpoint_corruption_is_always_detected(
-        payload in prop::collection::vec(any::<u64>(), 1..64),
+        observations in prop::collection::vec(arb_observation(), 0..64),
+        record in prop::collection::vec(any::<u64>(), 1..64),
         truncate in any::<bool>(),
         pos_seed in any::<u64>(),
         bit in 0u8..8,
@@ -149,20 +150,20 @@ proptest! {
             CASE.fetch_add(1, Ordering::Relaxed)
         ));
         let store = CheckpointStore::open(&dir).expect("open store");
-        let fp = Fingerprint { config: 7, inputs: 13 };
-        store.save("maps", &fp, &payload).expect("save");
+        let log = ObservationStore::from_observations(&observations).unwrap();
+        store.save(7, &log, &record).expect("save");
 
-        let path = store.payload_path("maps");
-        let mut bytes = std::fs::read(&path).expect("read payload");
+        let path = dir.join("checkpoint.json");
+        let mut bytes = std::fs::read(&path).expect("read commit");
         let pos = (pos_seed % bytes.len() as u64) as usize;
         if truncate {
             bytes.truncate(pos);
         } else {
             bytes[pos] ^= 1 << bit;
         }
-        std::fs::write(&path, &bytes).expect("write damaged payload");
+        std::fs::write(&path, &bytes).expect("write damaged commit");
 
-        let damaged = store.load::<Vec<u64>>("maps", &fp);
+        let damaged = store.load::<Vec<u64>>(7);
         prop_assert!(
             damaged.is_err(),
             "corruption went undetected ({} at byte {pos} of {})",
@@ -170,8 +171,8 @@ proptest! {
             bytes.len(),
         );
         // Re-saving restores a loadable checkpoint.
-        store.save("maps", &fp, &payload).expect("re-save");
-        prop_assert_eq!(store.load::<Vec<u64>>("maps", &fp).unwrap(), payload);
+        store.save(7, &log, &record).expect("re-save");
+        prop_assert_eq!(store.load::<Vec<u64>>(7).unwrap(), (log, record));
         let _ = std::fs::remove_dir_all(&dir);
     }
 

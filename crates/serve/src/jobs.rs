@@ -3,12 +3,20 @@
 //! A job is a (data directory → final report) analysis run as a stream of
 //! scan weeks through [`IncrementalAnalyzer`], checkpointing into its own
 //! subdirectory of the supervisor's checkpoint root after every week. That
-//! per-week durability is the whole crash-tolerance story: a SIGKILLed
-//! server loses at most the week in flight, and on restart
-//! [`JobSupervisor::recover`] rediscovers every non-terminal job from its
-//! `job.json` and re-enqueues it; [`IncrementalAnalyzer::resume`] then
+//! per-week durability is the whole crash-tolerance story: a checkpoint
+//! commits in one atomic file write, so a SIGKILLed server loses at most
+//! the week in flight. On restart [`JobSupervisor::recover`] sweeps the
+//! tmp files killed writes left, rediscovers every non-terminal job from
+//! its `job.json` and re-enqueues it; [`IncrementalAnalyzer::resume`] then
 //! picks the stream back up, producing a final report byte-identical to
-//! an uninterrupted run (the chaos harness pins exactly this).
+//! an uninterrupted run (the chaos harness pins exactly this). A
+//! checkpoint that does not hold the first weeks of the data the job now
+//! names (the data dir was replaced or shrank) is not resumed: the job
+//! streams afresh.
+//!
+//! Every file in a job dir — `job.json`, `status.json`, `report.json`
+//! and the checkpoint — is written through [`write_atomic`], so none is
+//! ever torn.
 //!
 //! Supervision policies, all explicit:
 //!
@@ -33,10 +41,9 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::thread;
 use std::time::Duration;
 
+use retrodns_core::durable::{remove_tmp_files, write_atomic};
 use retrodns_core::pipeline::{PipelineConfig, Report};
-use retrodns_core::{DirLock, IncrementalAnalyzer, LockError, MetricsRegistry};
-use retrodns_scan::DomainObservation;
-use retrodns_types::Day;
+use retrodns_core::{week_batches, DirLock, IncrementalAnalyzer, LockError, MetricsRegistry};
 use serde::{Deserialize, Serialize};
 
 use crate::data::JobData;
@@ -251,22 +258,6 @@ pub struct JobSupervisor {
     workers: Mutex<Vec<thread::JoinHandle<()>>>,
 }
 
-fn atomic_write(path: &Path, bytes: &[u8]) -> std::io::Result<()> {
-    // Unique tmp name per write: concurrent writers to the same target
-    // (e.g. a cancel racing a worker's status update) each rename a
-    // complete file, so the target is never torn — rename ordering
-    // decides which complete snapshot persists.
-    static TMP_SEQ: AtomicU64 = AtomicU64::new(0);
-    let n = TMP_SEQ.fetch_add(1, Ordering::Relaxed);
-    let tmp = path.with_extension(format!("tmp.{n}"));
-    std::fs::write(&tmp, bytes)?;
-    let renamed = std::fs::rename(&tmp, path);
-    if renamed.is_err() {
-        let _ = std::fs::remove_file(&tmp);
-    }
-    renamed
-}
-
 fn valid_id(id: &str) -> bool {
     !id.is_empty()
         && !id.starts_with('.')
@@ -274,17 +265,6 @@ fn valid_id(id: &str) -> bool {
         && id
             .chars()
             .all(|c| c.is_ascii_alphanumeric() || matches!(c, '.' | '_' | '-'))
-}
-
-/// Slice sorted observations into per-scan-date batches, oldest first —
-/// the same deterministic slicing `analyze --stream` uses, so week i is
-/// week i again on every resume.
-fn week_slices(observations: &[DomainObservation]) -> Vec<(Day, Vec<DomainObservation>)> {
-    let mut by_date: BTreeMap<Day, Vec<DomainObservation>> = BTreeMap::new();
-    for o in observations {
-        by_date.entry(o.date).or_default().push(o.clone());
-    }
-    by_date.into_iter().collect()
 }
 
 impl JobSupervisor {
@@ -340,6 +320,11 @@ impl JobSupervisor {
         let mut resumed = 0;
         let mut state = self.state.lock().expect("supervisor poisoned");
         for dir in dirs {
+            // No worker runs yet, so no write is in flight: a tmp file here
+            // is the orphan of a killed write.
+            if let Err(e) = remove_tmp_files(&dir, "") {
+                eprintln!("recover: sweeping {}: {e}", dir.display());
+            }
             let spec: JobSpec = match std::fs::read(dir.join(JOB_FILE))
                 .map_err(|e| e.to_string())
                 .and_then(|b| serde_json::from_slice(&b).map_err(|e| e.to_string()))
@@ -391,7 +376,7 @@ impl JobSupervisor {
                 // Interrupted mid-stream (crash or graceful park): back
                 // to the queue; the worker resumes from the checkpoint.
                 entry.status.state = JobState::Queued;
-                let _ = atomic_write(
+                let _ = write_atomic(
                     &dir.join(STATUS_FILE),
                     serde_json::to_string_pretty(&entry.status)
                         .expect("status serializes")
@@ -506,13 +491,13 @@ impl JobSupervisor {
         let dir = self.cfg.checkpoint_root.join(&spec.id);
         let persisted = (|| -> std::io::Result<()> {
             std::fs::create_dir_all(&dir)?;
-            atomic_write(
+            write_atomic(
                 &dir.join(JOB_FILE),
                 serde_json::to_string_pretty(&spec)
                     .expect("spec serializes")
                     .as_bytes(),
             )?;
-            atomic_write(
+            write_atomic(
                 &dir.join(STATUS_FILE),
                 serde_json::to_string_pretty(&status)
                     .expect("status serializes")
@@ -532,7 +517,7 @@ impl JobSupervisor {
         if entry.status.state == JobState::Cancelled {
             let cancelled = entry.status.clone();
             drop(state);
-            let _ = atomic_write(
+            let _ = write_atomic(
                 &dir.join(STATUS_FILE),
                 serde_json::to_string_pretty(&cancelled)
                     .expect("status serializes")
@@ -579,7 +564,7 @@ impl JobSupervisor {
         entry.cancel.store(true, Ordering::SeqCst);
         if entry.status.state == JobState::Queued {
             entry.status.state = JobState::Cancelled;
-            let _ = atomic_write(
+            let _ = write_atomic(
                 &root.join(id).join(STATUS_FILE),
                 serde_json::to_string_pretty(&entry.status)
                     .expect("status serializes")
@@ -625,7 +610,7 @@ impl JobSupervisor {
         update(&mut entry.status);
         let status = entry.status.clone();
         drop(state);
-        let _ = atomic_write(
+        let _ = write_atomic(
             &self.cfg.checkpoint_root.join(id).join(STATUS_FILE),
             serde_json::to_string_pretty(&status)
                 .expect("status serializes")
@@ -715,7 +700,7 @@ impl JobSupervisor {
         };
         let observations = data.observations();
         let inputs = data.inputs(&observations);
-        let mut weeks = week_slices(&observations);
+        let mut weeks = week_batches(&observations);
         if spec.max_weeks > 0 {
             weeks.truncate(spec.max_weeks as usize);
         }
@@ -733,7 +718,10 @@ impl JobSupervisor {
             Ok(s) => s,
             Err(e) => return fail(format!("checkpoint store {}: {e}", dir.display())),
         };
+        // The checkpoint may predate an edit of the data dir: resume only
+        // a stream over this data's first weeks.
         let mut analyzer = IncrementalAnalyzer::resume(config.clone(), &store)
+            .filter(|a| a.holds_first_batches(&weeks, &inputs))
             .unwrap_or_else(|| IncrementalAnalyzer::new(config));
         let resumed = analyzer.weeks();
         if resumed > 0 {
@@ -746,7 +734,7 @@ impl JobSupervisor {
             s.resumed_weeks = resumed;
         });
 
-        for (i, (_date, batch)) in weeks.iter().enumerate() {
+        for (i, batch) in weeks.iter().enumerate() {
             if (i as u32) < analyzer.weeks() {
                 continue; // already checkpointed before the last crash
             }
@@ -816,12 +804,12 @@ impl JobSupervisor {
             self.set_status(id, |s| s.weeks_done = analyzer.weeks());
         }
 
-        // Finished: archive the report (atomic — a crash mid-write leaves
-        // the tmp file, never a torn report.json) and surface degraded
-        // runs as their own state.
+        // Finished: archive the report (atomically: a crash mid-write
+        // leaves a tmp file, never a torn report.json) and surface
+        // degraded runs as their own state.
         let report = analyzer.report().clone();
         let json = serde_json::to_string_pretty(&report).expect("report serializes");
-        if let Err(e) = atomic_write(&dir.join(REPORT_FILE), json.as_bytes()) {
+        if let Err(e) = write_atomic(&dir.join(REPORT_FILE), json.as_bytes()) {
             return fail(format!("archiving report {}: {e}", dir.display()));
         }
         let final_state = if report.degraded.is_empty() {

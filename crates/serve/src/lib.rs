@@ -40,6 +40,7 @@ pub use events::{EventLog, VerdictEvent};
 pub use jobs::{ChaosAbort, JobSpec, JobState, JobStatus, JobSupervisor, SupervisorConfig};
 pub use service::AnalysisService;
 
+use retrodns_core::durable::write_atomic;
 use std::net::SocketAddr;
 use std::path::PathBuf;
 use std::sync::Arc;
@@ -98,9 +99,7 @@ impl ServerHandle {
             .map_err(|e| format!("bind {}: {e}", cfg.addr))?;
         eprintln!("retrodns-serve listening on {}", server.addr());
         if let Some(port_file) = &cfg.port_file {
-            let tmp = port_file.with_extension("tmp");
-            std::fs::write(&tmp, server.addr().to_string())
-                .and_then(|_| std::fs::rename(&tmp, port_file))
+            write_atomic(port_file, server.addr().to_string().as_bytes())
                 .map_err(|e| format!("port file {}: {e}", port_file.display()))?;
         }
         Ok(ServerHandle { service, server })

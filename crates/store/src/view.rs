@@ -20,8 +20,7 @@ use retrodns_types::bytes_hash;
 /// every record through the workspace BKDR hash. Deterministic across
 /// runs and platforms, and sensitive to any record edit, insertion,
 /// deletion or reordering. This is the canonical definition both input
-/// representations agree on (`core::checkpoint::inputs_fingerprint`
-/// delegates here).
+/// representations agree on.
 pub fn rows_fingerprint(observations: &[DomainObservation]) -> u64 {
     let mut h: u64 = bytes_hash(b"retrodns-observations-v1");
     let mut fold = |v: u64| h = h.wrapping_mul(131).wrapping_add(v);
@@ -162,6 +161,17 @@ mod tests {
         assert_eq!(rows_view.fingerprint(), store_view.fingerprint());
         assert!(rows_view.as_rows().is_some() && rows_view.as_store().is_none());
         assert!(store_view.as_rows().is_none() && store_view.as_store().is_some());
+    }
+
+    #[test]
+    fn rows_fingerprint_is_order_and_field_sensitive() {
+        let a = vec![obs("a.com", 1), obs("b.com", 2)];
+        let b = vec![obs("b.com", 2), obs("a.com", 1)];
+        assert_ne!(rows_fingerprint(&a), rows_fingerprint(&b));
+        let mut c = a.clone();
+        c[0].date = Day(3);
+        assert_ne!(rows_fingerprint(&a), rows_fingerprint(&c));
+        assert_eq!(rows_fingerprint(&a), rows_fingerprint(&a.clone()));
     }
 
     #[test]

@@ -10,9 +10,6 @@ cargo build --release
 echo "==> cargo test -q"
 cargo test -q
 
-echo "==> cargo test --test metrics (funnel reconciliation + schema)"
-cargo test -q --test metrics
-
 echo "==> cargo test --test streaming_equivalence (week-at-a-time == batch, byte-identical)"
 cargo test -q --release --test streaming_equivalence
 

@@ -15,17 +15,18 @@
 //! adoption surface: swap the synthetic JSON for converted real data and
 //! the pipeline runs unchanged.
 
+use retrodns::core::durable::write_atomic;
 use retrodns::core::inspect::InspectConfig;
 use retrodns::core::metrics::{CountingAlloc, MetricsRegistry};
-use retrodns::core::pipeline::{quarantine, AnalystInputs, Pipeline, PipelineConfig, Report};
+use retrodns::core::pipeline::{AnalystInputs, Pipeline, PipelineConfig, Report};
 use retrodns::core::report::{render_table2, render_table3, DomainInfo};
 use retrodns::core::score_detection;
-use retrodns::core::{CheckpointStore, DirLock, IncrementalAnalyzer, SourcePolicy};
+use retrodns::core::{week_batches, CheckpointStore, DirLock, IncrementalAnalyzer, SourcePolicy};
 use retrodns::scan::DomainObservation;
 use retrodns::serve::JobData;
 use retrodns::sim::{DomainMeta, SimConfig, World};
-use retrodns::types::{Day, DomainName};
-use std::collections::{BTreeMap, HashMap};
+use retrodns::types::DomainName;
+use std::collections::HashMap;
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
@@ -303,10 +304,7 @@ fn stream_analyze(
     lock: Option<&DirLock>,
     metrics: &mut MetricsRegistry,
 ) -> Result<Report, String> {
-    let mut by_date: BTreeMap<Day, Vec<DomainObservation>> = BTreeMap::new();
-    for o in observations {
-        by_date.entry(o.date).or_default().push(o.clone());
-    }
+    let batches = week_batches(observations);
     let store = match ckpt {
         Some(opts) => {
             let store = CheckpointStore::open(&opts.dir)
@@ -326,7 +324,7 @@ fn stream_analyze(
         .filter(|_| resumable)
         .and_then(|s| IncrementalAnalyzer::resume(pipeline.config.clone(), s));
     let mut analyzer = match resumed {
-        Some(a) if holds_first_batches(&a, &by_date, pipeline, inputs) => a,
+        Some(a) if a.holds_first_batches(&batches, inputs) => a,
         Some(_) => {
             eprintln!(
                 "warning: the checkpoint in {} was written over different data; \
@@ -343,19 +341,20 @@ fn stream_analyze(
             analyzer.weeks()
         );
     }
-    let total = by_date.len();
-    for (i, (date, batch)) in by_date.into_iter().enumerate() {
+    let total = batches.len();
+    for (i, batch) in batches.iter().enumerate() {
         // Weeks a resumed analyzer has already seen are skipped; the
         // per-date slicing is deterministic, so week i is week i again.
         if (i as u32) < analyzer.weeks() {
             continue;
         }
-        let delta = analyzer.ingest_week_metered(&batch, inputs, metrics);
+        let delta = analyzer.ingest_week_metered(batch, inputs, metrics);
         if delta.has_verdict_changes() {
             eprintln!(
-                "week {:>3}/{} ({date}): +{} hijacked -{} hijacked, +{} targeted -{} targeted",
+                "week {:>3}/{} ({}): +{} hijacked -{} hijacked, +{} targeted -{} targeted",
                 delta.week + 1,
                 total,
+                delta.date,
                 delta.hijacked_upserts.len(),
                 delta.hijacked_removed.len(),
                 delta.targeted_upserts.len(),
@@ -386,38 +385,13 @@ fn stream_analyze(
     let report = analyzer.report().clone();
     if let Some(opts) = ckpt {
         // Archive the report beside the checkpoint: the artifact a
-        // resumed stream must reproduce byte-for-byte.
+        // resumed stream must reproduce byte-for-byte, so a kill mid-write
+        // must not tear it.
         let json = serde_json::to_string_pretty(&report).expect("report serializes");
         let path = opts.dir.join("report.json");
-        std::fs::write(&path, json).map_err(|e| format!("{}: {e}", path.display()))?;
+        write_atomic(&path, json.as_bytes()).map_err(|e| format!("{}: {e}", path.display()))?;
     }
     Ok(report)
-}
-
-/// Did `analyzer` ingest exactly the first [`IncrementalAnalyzer::weeks`]
-/// batches of this data? Its log must fingerprint like those batches'
-/// quarantine-kept rows, and its quarantine histogram must match theirs.
-fn holds_first_batches(
-    analyzer: &IncrementalAnalyzer,
-    by_date: &BTreeMap<Day, Vec<DomainObservation>>,
-    pipeline: &Pipeline,
-    inputs: &AnalystInputs,
-) -> bool {
-    let weeks = analyzer.weeks() as usize;
-    if weeks > by_date.len() {
-        return false;
-    }
-    let mut kept_rows = Vec::new();
-    let mut rejected: BTreeMap<String, usize> = BTreeMap::new();
-    for batch in by_date.values().take(weeks) {
-        let (kept, reasons) = quarantine(batch, &pipeline.config.window, inputs.certs);
-        kept_rows.extend_from_slice(&kept);
-        for (reason, n) in reasons {
-            *rejected.entry(reason).or_insert(0) += n;
-        }
-    }
-    retrodns::store::rows_fingerprint(&kept_rows) == analyzer.log_fingerprint()
-        && rejected == analyzer.report().funnel.quarantined
 }
 
 fn info(dir: &Path) -> Result<(), String> {

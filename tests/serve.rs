@@ -9,13 +9,15 @@ use std::process::{Child, Command, Stdio};
 use std::sync::OnceLock;
 use std::time::{Duration, Instant};
 
-use retrodns::core::pipeline::PipelineConfig;
-use retrodns::core::IncrementalAnalyzer;
+use retrodns::core::pipeline::{AnalystInputs, PipelineConfig};
+use retrodns::core::{week_batches, CheckpointStore, IncrementalAnalyzer, MetricsRegistry};
 use retrodns::scan::DomainObservation;
 use retrodns::serve::client;
 use retrodns::serve::{
-    JobData, JobSpec, JobState, JobStatus, ServeConfig, ServerHandle, SupervisorConfig,
+    EventLog, JobData, JobSpec, JobState, JobStatus, JobSupervisor, ServeConfig, ServerHandle,
+    SupervisorConfig,
 };
+use retrodns::sim::{SimConfig, World};
 use retrodns::types::Day;
 
 /// One simulated data directory, shared read-only by every test in this
@@ -329,6 +331,128 @@ fn graceful_shutdown_parks_job_and_restart_resumes() {
         "parked-and-resumed report differs from the uninterrupted golden"
     );
     server.shutdown();
+    let _ = std::fs::remove_dir_all(&root);
+}
+
+/// A crashed job whose data dir was replaced before the restart: its
+/// checkpoint holds weeks of other data, and resuming it would archive a
+/// report mixing the two. The job must stream its own data afresh.
+#[test]
+fn checkpoint_over_other_data_is_not_resumed() {
+    let root = temp_root("foreign");
+    let job_dir = root.join("foreign");
+    let spec = JobSpec {
+        id: "foreign".into(),
+        data_dir: data_dir().display().to_string(),
+        workers: 1,
+        max_weeks: 6,
+        ..Default::default()
+    };
+    // Three weeks of another world, checkpointed under the job's config.
+    let world = World::build(SimConfig {
+        n_domains: 150,
+        ..SimConfig::small(0xF0E)
+    });
+    let observations = world.observations(&world.scan());
+    let inputs = AnalystInputs {
+        observations: &observations,
+        asdb: &world.geo.asdb,
+        certs: &world.certs,
+        pdns: &world.pdns,
+        crtsh: &world.crtsh,
+        dnssec: Some(&world.dnssec),
+        source_faults: None,
+    };
+    let mut analyzer = IncrementalAnalyzer::new(PipelineConfig {
+        workers: 1,
+        ..PipelineConfig::default()
+    });
+    for batch in week_batches(&observations).iter().take(3) {
+        analyzer.ingest_week(batch, &inputs);
+    }
+    let store = CheckpointStore::open(&job_dir).expect("job dir");
+    analyzer.checkpoint(&store).expect("checkpoint");
+    std::fs::write(
+        job_dir.join("job.json"),
+        serde_json::to_string_pretty(&spec).expect("spec serializes"),
+    )
+    .expect("write job.json");
+
+    let server = start(&root, 8, 1);
+    let addr = server.addr().to_string();
+    let done = wait_for(&addr, "foreign", "terminal", |s| s.state.terminal());
+    assert!(
+        matches!(done.state, JobState::Done | JobState::Degraded),
+        "{done:?}"
+    );
+    assert_eq!(done.resumed_weeks, 0, "resumed another world's weeks");
+    let report = client::get(&addr, "/jobs/foreign/report").expect("report");
+    assert_eq!(
+        report.body,
+        golden_report(1, 6).as_bytes(),
+        "the archived report carries the other data's weeks"
+    );
+    server.shutdown();
+    let _ = std::fs::remove_dir_all(&root);
+}
+
+/// Recovery removes the tmp files of writes a kill interrupted, and
+/// nothing else.
+#[test]
+fn recovery_sweeps_orphaned_tmp_files() {
+    let root = temp_root("orphans");
+    let job_dir = root.join("swept");
+    std::fs::create_dir_all(&job_dir).unwrap();
+    let spec = JobSpec {
+        id: "swept".into(),
+        data_dir: data_dir().display().to_string(),
+        ..Default::default()
+    };
+    let status = JobStatus {
+        id: "swept".into(),
+        state: JobState::Cancelled,
+        weeks_done: 0,
+        weeks_total: 0,
+        resumed_weeks: 0,
+        error: String::new(),
+        hijacked: 0,
+        targeted: 0,
+        degraded: 0,
+    };
+    std::fs::write(job_dir.join("job.json"), serde_json::to_vec(&spec).unwrap()).unwrap();
+    std::fs::write(
+        job_dir.join("status.json"),
+        serde_json::to_vec(&status).unwrap(),
+    )
+    .unwrap();
+    let orphans = [
+        "status.json.tmp.3",
+        "checkpoint.json.tmp.0",
+        "lock.json.tmp.17",
+    ];
+    for name in orphans {
+        std::fs::write(job_dir.join(name), b"{\"torn").unwrap();
+    }
+
+    let supervisor = JobSupervisor::new(
+        SupervisorConfig {
+            checkpoint_root: root.clone(),
+            ..SupervisorConfig::default()
+        },
+        std::sync::Arc::new(EventLog::new()),
+        std::sync::Arc::new(std::sync::Mutex::new(MetricsRegistry::new())),
+    );
+    supervisor.recover().expect("recover");
+    let mut left: Vec<String> = std::fs::read_dir(&job_dir)
+        .unwrap()
+        .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
+        .collect();
+    left.sort();
+    assert_eq!(left, ["job.json", "status.json"]);
+    assert_eq!(
+        supervisor.status("swept").map(|s| s.state),
+        Some(JobState::Cancelled)
+    );
     let _ = std::fs::remove_dir_all(&root);
 }
 
