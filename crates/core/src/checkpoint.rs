@@ -26,13 +26,14 @@
 //!
 //! A save writes the missing parts, then replaces `checkpoint.json` in one
 //! [`write_atomic`], and only then deletes the parts the new manifest does
-//! not list. A crash at any point leaves the previous commit with all of
-//! its parts, or the new one with all of its parts. A load is valid only
-//! if the commit hashes to its header, its version and config fingerprint
-//! match, and every part matches its manifest hash; anything else — a
-//! version bump, changed thresholds, a truncated or bit-flipped byte
-//! anywhere — fails the load, and the caller starts over rather than
-//! trusting damaged state.
+//! not list (and the two record files a format ≤ 3 checkpoint kept beside
+//! its log, if they are still there). A crash at any point leaves the
+//! previous commit with all of its parts, or the new one with all of its
+//! parts. A load is valid only if the commit hashes to its header, its
+//! version and config fingerprint match, and every part matches its
+//! manifest hash; anything else — a version bump, changed thresholds, a
+//! truncated or bit-flipped byte anywhere — fails the load, and the
+//! caller starts over rather than trusting damaged state.
 
 use crate::durable::{remove_tmp_files, write_atomic};
 use retrodns_store::{ObservationStore, StoreManifest};
@@ -48,6 +49,10 @@ pub const CHECKPOINT_FORMAT_VERSION: u32 = 4;
 
 /// File name of the commit.
 const CHECKPOINT_FILE: &str = "checkpoint.json";
+
+/// The files a format ≤ 3 checkpoint kept beside its log (the record and
+/// its envelope). No load reads them; a save removes them.
+const LEGACY_FILES: [&str; 2] = ["stage_incremental.json", "stage_incremental.meta.json"];
 
 /// What `checkpoint.json` commits, inside its hash header.
 #[derive(Debug, Serialize, Deserialize)]
@@ -164,6 +169,9 @@ impl CheckpointStore {
         // save retries it. Nothing else writes these names (the store's
         // directory is held under a `DirLock`), so the sweep is safe.
         let _ = remove_tmp_files(&self.dir, CHECKPOINT_FILE);
+        for legacy in LEGACY_FILES {
+            let _ = std::fs::remove_file(self.dir.join(legacy));
+        }
         for entry in std::fs::read_dir(&dir)?.flatten() {
             let name = entry.file_name();
             if !parts.iter().any(|p| name == p.as_str()) {
@@ -466,6 +474,23 @@ mod tests {
         s.save(1, &b, &11u32).unwrap();
         assert!(!tmp.exists(), "the orphaned commit tmp survived a save");
         assert_eq!(files(&s), live(&b));
+        let _ = std::fs::remove_dir_all(s.dir());
+    }
+
+    /// A directory last written before format 4 still holds the old
+    /// record files; the first save removes exactly those two names.
+    #[test]
+    fn save_removes_the_legacy_record_files_and_nothing_else() {
+        let s = store();
+        for name in LEGACY_FILES.iter().chain(&["notes.txt"]) {
+            std::fs::write(s.dir().join(name), b"{}").unwrap();
+        }
+        let a = log(10);
+        s.save(1, &a, &10u32).unwrap();
+        let mut expected = live(&a);
+        expected.push("notes.txt".to_string());
+        expected.sort();
+        assert_eq!(files(&s), expected);
         let _ = std::fs::remove_dir_all(s.dir());
     }
 

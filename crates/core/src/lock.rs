@@ -19,7 +19,7 @@ use std::time::{SystemTime, UNIX_EPOCH};
 
 use serde::{Deserialize, Serialize};
 
-use crate::durable::write_atomic;
+use crate::durable::{remove_tmp_files, write_atomic};
 
 /// File name of the lock inside the guarded directory.
 pub const LOCK_FILE: &str = "lock.json";
@@ -134,6 +134,12 @@ impl DirLock {
                         .map_err(|e| LockError::Io(io::Error::other(e.to_string())))?;
                     let mut file = file;
                     io::Write::write_all(&mut file, body.as_bytes())?;
+                    // A holder killed mid-heartbeat leaves its
+                    // `lock.json.tmp.N` behind. The lock is ours now and we
+                    // have not heartbeated yet, so no write to `lock.json`
+                    // is in flight and the sweep is safe. It is best
+                    // effort: a failure must not strand the lock we hold.
+                    let _ = remove_tmp_files(dir, LOCK_FILE);
                     return Ok(DirLock {
                         path,
                         token,
@@ -302,6 +308,20 @@ mod tests {
             serde_json::from_slice(&fs::read(dir.join(LOCK_FILE)).unwrap()).unwrap();
         assert!(after.heartbeat_ms > before.heartbeat_ms);
         assert_eq!(after.token, before.token);
+        drop(lock);
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn acquire_sweeps_only_orphaned_heartbeat_tmp_files() {
+        let dir = tmp_dir("sweep");
+        for name in ["lock.json.tmp.7", "lock.json.tmp", "other.json.tmp.3"] {
+            fs::write(dir.join(name), b"{}").unwrap();
+        }
+        let lock = DirLock::acquire(&dir).unwrap();
+        assert!(!dir.join("lock.json.tmp.7").exists());
+        assert!(dir.join("lock.json.tmp").exists());
+        assert!(dir.join("other.json.tmp.3").exists());
         drop(lock);
         fs::remove_dir_all(&dir).unwrap();
     }
