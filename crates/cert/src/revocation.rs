@@ -7,7 +7,7 @@
 //! so the Table 9 experiment can reproduce the "CRL column": a tick, a
 //! cross, or a dash for OCSP-only issuers.
 
-use crate::authority::{CaId, CaKind, TrustStore};
+use crate::authority::{CaId, TrustStore};
 use crate::certificate::CertId;
 use retrodns_types::Day;
 use serde::{Deserialize, Serialize};
@@ -94,15 +94,10 @@ impl RevocationRegistry {
     }
 }
 
-/// Convenience: does this CA kind leave a determinable revocation trail?
-pub fn crl_determinable(kind: CaKind) -> bool {
-    kind.publishes_crl()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::authority::CertAuthority;
+    use crate::authority::{CaKind, CertAuthority};
 
     fn trust() -> TrustStore {
         let mut t = TrustStore::new();

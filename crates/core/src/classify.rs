@@ -16,6 +16,10 @@
 //!   deployment's own certificate (proxy prelude).
 //! * **Noisy** — no stable background to compare against; the paper
 //!   excludes these from inference (footnote 7).
+//!
+//! [`classify`] itself never yields [`Pattern::Unclassified`]: the
+//! pipeline's guarded classify puts it in the slot of a map whose
+//! classification panicked.
 
 use crate::map::DeploymentMap;
 use retrodns_cert::CertId;
@@ -97,6 +101,9 @@ pub enum Pattern {
     },
     /// No stable background; excluded from inference.
     Noisy,
+    /// Classification panicked. The pipeline quarantines the map under
+    /// `worker_panic`; stages 3–5 skip it as if it had never been built.
+    Unclassified,
 }
 
 impl Pattern {
@@ -118,16 +125,19 @@ impl Pattern {
                 }
             }
             Pattern::Noisy => "Noisy",
+            Pattern::Unclassified => "Unclassified",
         }
     }
 
-    /// Top-level category ("stable", "transition", "transient", "noisy").
+    /// Top-level category ("stable", "transition", "transient", "noisy",
+    /// or "unclassified").
     pub fn category(&self) -> &'static str {
         match self {
             Pattern::Stable(_) => "stable",
             Pattern::Transition(_) => "transition",
             Pattern::Transient { .. } => "transient",
             Pattern::Noisy => "noisy",
+            Pattern::Unclassified => "unclassified",
         }
     }
 }
@@ -468,6 +478,76 @@ mod tests {
         obs.extend(mk(5..20, 200, 2));
         let p = classify(&builder.build(&obs)[0], &cfg);
         assert_eq!(p.label(), "X3");
+    }
+
+    /// A 180-day period, so that `min_stable_coverage` of it is a whole
+    /// number of days, scanned weekly.
+    const PERIOD: retrodns_types::Period = retrodns_types::Period {
+        id: 0,
+        start: Day(0),
+        end: Day(180),
+    };
+
+    /// A deployment in `asn` seen on `first` and `last` (inclusive),
+    /// presenting `cert` throughout.
+    fn deployment(asn: u32, first: u32, last: u32, cert: u64) -> crate::map::Deployment {
+        use retrodns_types::{Asn, Ipv4Addr};
+        use std::collections::BTreeMap;
+        crate::map::Deployment {
+            asn: Asn(asn),
+            first: Day(first),
+            last: Day(last),
+            dates: vec![Day(first), Day(last)],
+            ips: BTreeSet::from([Ipv4Addr(asn)]),
+            certs: BTreeSet::from([CertId(cert)]),
+            countries: BTreeSet::new(),
+            trusted_certs: BTreeSet::new(),
+            cert_windows: BTreeMap::from([(CertId(cert), (Day(first), Day(last)))]),
+            country_windows: BTreeMap::new(),
+        }
+    }
+
+    fn map_of(deployments: Vec<crate::map::Deployment>) -> DeploymentMap {
+        DeploymentMap {
+            domain: "x.com".parse().unwrap(),
+            period: PERIOD,
+            deployments,
+            dates_present: vec![],
+            expected_scans: PERIOD.len_days() as usize / 7,
+        }
+    }
+
+    /// A bounded foreign deployment against a stable background is
+    /// transient up to and including `transient_max_days` of lifetime,
+    /// and a long-lived change one day later.
+    #[test]
+    fn transient_max_days_boundary() {
+        let cfg = ClassifyConfig::default();
+        let max = cfg.transient_max_days;
+        for (span, expected) in [(max - 1, "T1"), (max, "T1"), (max + 1, "X3")] {
+            let background = deployment(100, 0, PERIOD.end.0 - 1, 1);
+            let bounded = deployment(200, 40, 40 + span - 1, 2);
+            assert_eq!(bounded.span_days(), span);
+            let p = classify(&map_of(vec![background, bounded]), &cfg);
+            assert_eq!(p.label(), expected, "span {span} days: {p:?}");
+        }
+    }
+
+    /// A lone deployment covering neither period edge is stable from
+    /// exactly `min_stable_coverage` of the period on, noisy below it.
+    #[test]
+    fn min_stable_coverage_boundary() {
+        let cfg = ClassifyConfig::default();
+        let at = (cfg.min_stable_coverage * PERIOD.len_days() as f64) as u32;
+        assert_eq!(
+            at as f64 / PERIOD.len_days() as f64,
+            cfg.min_stable_coverage
+        );
+        for (span, expected) in [(at - 1, "Noisy"), (at, "S1"), (at + 1, "S1")] {
+            let lone = deployment(100, 30, 30 + span - 1, 1);
+            let p = classify(&map_of(vec![lone]), &cfg);
+            assert_eq!(p.label(), expected, "span {span} days: {p:?}");
+        }
     }
 
     #[test]

@@ -8,11 +8,16 @@
 //! * **Quarantine** validates only the new batch; rejection reasons are
 //!   per-record, so per-week histograms accumulate to the batch
 //!   histogram exactly.
-//! * **Map build** goes through [`MapBuilder::append_scan`]: only maps
-//!   whose observation set changed are touched, and the merge is
+//! * **Map build** goes through
+//!   [`MapBuilder::append_scan`](crate::map::MapBuilder::append_scan):
+//!   only maps whose observation set changed are touched, and the merge is
 //!   provably identical to relinking the full history under the stream
 //!   discipline (appended dates strictly exceed everything ingested).
-//! * **Classify** re-runs only on the dirty maps reported by the append.
+//! * **Classify** re-runs only on the dirty maps reported by the append,
+//!   through the pipeline's one guarded per-map classify: a map whose
+//!   classification panics holds `Pattern::Unclassified` and is counted
+//!   under `funnel.quarantined.worker_panic`, recounted every week, as the
+//!   batch run counts it — never a panic out of the stream.
 //! * **Shortlist/inspect/pivot** re-run over the updated state (they are
 //!   O(maps), a small fraction of O(observations) — the repeat-period
 //!   and T1* checks are inherently cross-week, so their inputs cannot
@@ -37,7 +42,8 @@
 //! and then commits, in one atomic file, the log's manifest beside a small
 //! record — quarantine histogram, week count, last date and the report.
 //! Maps and patterns are never written: [`IncrementalAnalyzer::resume`]
-//! rebuilds them from the log through the batch map and classify engines.
+//! rebuilds them from the log through the batch run's own stages-1–2
+//! path (`Pipeline::build_and_classify`).
 //! A killed analyzer resumes from the last committed week. The record does
 //! not say whose data the log came from, so a caller that resumes over a
 //! data set first checks
@@ -48,9 +54,9 @@
 //! about a third of what loading them did.
 
 use crate::checkpoint::{config_fingerprint, CheckpointStore};
-use crate::classify::{classify, Pattern};
+use crate::classify::Pattern;
 use crate::inspect::{DegradedVerdict, DetectedHijack, DetectedTarget};
-use crate::map::{DeploymentMap, MapBuilder};
+use crate::map::{ColSource, DeploymentMap};
 use crate::metrics::MetricsRegistry;
 use crate::observability::PipelineTimings;
 use crate::pipeline::{quarantine, AnalystInputs, FunnelStats, Pipeline, PipelineConfig, Report};
@@ -199,8 +205,8 @@ impl WeekDelta {
 /// is: resume has no corroboration sources to recompute stages 3–5 with,
 /// and the first [`WeekDelta`] after a resume diffs against it. The
 /// stage-0 histogram is kept beside it: rejected rows are not in the
-/// log, and `report.funnel.quarantined` also counts the inspect stage's
-/// panics, which each week recounts from scratch.
+/// log, and `report.funnel.quarantined` also counts the classify and
+/// inspect stages' panics, which each week recounts from scratch.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 struct IncrementalState {
     quarantined: BTreeMap<String, usize>,
@@ -216,7 +222,6 @@ struct IncrementalState {
 #[derive(Debug, Clone)]
 pub struct IncrementalAnalyzer {
     pipeline: Pipeline,
-    builder: MapBuilder,
     maps: Vec<DeploymentMap>,
     patterns: Vec<Pattern>,
     quarantined: BTreeMap<String, usize>,
@@ -232,11 +237,8 @@ pub struct IncrementalAnalyzer {
 impl IncrementalAnalyzer {
     /// A fresh analyzer (no weeks ingested) for `config`.
     pub fn new(config: PipelineConfig) -> IncrementalAnalyzer {
-        let mut builder = MapBuilder::new(config.window.clone());
-        builder.link_gap_scans = config.link_gap_scans;
         IncrementalAnalyzer {
             pipeline: Pipeline::new(config),
-            builder,
             maps: Vec::new(),
             patterns: Vec::new(),
             quarantined: BTreeMap::new(),
@@ -296,9 +298,10 @@ impl IncrementalAnalyzer {
     }
 
     /// Ingest one scan batch. Every observation date must be strictly
-    /// greater than all previously ingested dates (the stream
-    /// discipline [`MapBuilder::append_scan`] requires); batches
-    /// arriving in scan order — the natural feed — satisfy this.
+    /// greater than all previously ingested dates (the stream discipline
+    /// [`MapBuilder::append_scan`](crate::map::MapBuilder::append_scan)
+    /// requires); batches arriving in scan order — the natural feed —
+    /// satisfy this.
     ///
     /// `inputs` supplies the corroboration sources (as-db, certificates,
     /// pDNS, CT, DNSSEC) — its `observations` field is ignored; the
@@ -339,17 +342,20 @@ impl IncrementalAnalyzer {
 
         // Stage 1 in O(batch): merge the batch into the existing maps
         // and collect the dirty set.
-        let outcome = self.builder.append_scan(&mut self.maps, &kept);
+        let outcome = self
+            .pipeline
+            .map_builder()
+            .append_scan(&mut self.maps, &kept);
 
         // Stage 2 over the dirty set only. Inserted indices arrive
         // ascending and post-merge, so in-order insertion keeps
         // `patterns` parallel to `maps` throughout.
         for &i in &outcome.inserted {
-            self.patterns
-                .insert(i, classify(&self.maps[i], &cfg.classify));
+            let pattern = self.pipeline.classify_one(&self.maps[i]);
+            self.patterns.insert(i, pattern);
         }
         for &i in &outcome.updated {
-            self.patterns[i] = classify(&self.maps[i], &cfg.classify);
+            self.patterns[i] = self.pipeline.classify_one(&self.maps[i]);
         }
 
         // Stages 3–5 over the full state: these are O(maps) — the
@@ -395,18 +401,24 @@ impl IncrementalAnalyzer {
     /// `config` — callers then start from [`new`](Self::new) and
     /// re-ingest.
     ///
-    /// Maps and patterns are rebuilt from the log by the batch engine
-    /// ([`MapBuilder::build_store_stats`], then
-    /// [`Pipeline::classify_maps`]), which under the stream discipline
-    /// yields exactly the maps the weekly merges produced. The log holds
-    /// only quarantine-kept rows, so stage 0 is not rerun.
+    /// Maps and patterns are rebuilt from the log by the batch run's own
+    /// stages-1–2 path (`Pipeline::build_and_classify`), which under the
+    /// stream discipline yields exactly the maps the weekly merges
+    /// produced, and the same guarded classify: a map whose
+    /// classification panics is `Pattern::Unclassified` here as in the
+    /// stream, never a panic out of `resume`. The log holds only
+    /// quarantine-kept rows, so stage 0 is not rerun.
     pub fn resume(config: PipelineConfig, store: &CheckpointStore) -> Option<IncrementalAnalyzer> {
         let (log, state): (ObservationStore, IncrementalState) =
             store.load(config_fingerprint(&config)).ok()?;
         let mut analyzer = IncrementalAnalyzer::new(config);
-        let workers = analyzer.pipeline.config.workers;
-        let (maps, _) = analyzer.builder.build_store_stats(&log, None, workers);
-        analyzer.patterns = analyzer.pipeline.classify_maps(&maps);
+        let (maps, patterns) = analyzer.pipeline.build_and_classify(
+            &ColSource(log.columns()),
+            None,
+            &mut MetricsRegistry::new(),
+            &mut PipelineTimings::default(),
+        );
+        analyzer.patterns = patterns;
         analyzer.maps = maps;
         analyzer.quarantined = state.quarantined;
         analyzer.weeks = state.weeks;

@@ -5,6 +5,15 @@
 //! passive DNS, and the crt.sh index — and produces a [`Report`]: the
 //! detected hijacks (Table 2), detected targets (Table 3), and the full
 //! funnel accounting (§4.2–4.5) the experiments reproduce.
+//!
+//! Stages 1–2 (map build, then classify) have one path,
+//! `Pipeline::build_and_classify`, shared by the batch run and
+//! [`IncrementalAnalyzer::resume`](crate::incremental::IncrementalAnalyzer::resume);
+//! weekly ingest re-classifies its dirty maps through the same guarded
+//! per-map classify. A map whose classification panics gets
+//! [`Pattern::Unclassified`] on every path, and stages 3–5 count it under
+//! `funnel.quarantined.worker_panic` and otherwise skip it, exactly as if
+//! it had never been built.
 
 use crate::classify::{classify, ClassifyConfig, Pattern};
 use crate::inspect::{
@@ -190,59 +199,67 @@ impl Pipeline {
         Pipeline { config }
     }
 
-    /// Stage 2: classify every map, in parallel contiguous chunks when
-    /// `workers > 1`. Chunk results are concatenated in chunk order, so
-    /// the output vector is identical to the serial one.
-    pub fn classify_maps(&self, maps: &[DeploymentMap]) -> Vec<Pattern> {
-        self.classify_maps_guarded(maps, &mut MetricsShard::default())
-            .into_iter()
-            .map(|p| p.expect("classify panicked"))
-            .collect()
+    /// A [`MapBuilder`] with this pipeline's window and link gap.
+    pub(crate) fn map_builder(&self) -> MapBuilder {
+        let mut builder = MapBuilder::new(self.config.window.clone());
+        builder.link_gap_scans = self.config.link_gap_scans;
+        builder
     }
 
-    /// [`classify_maps`](Self::classify_maps) with per-worker metering
-    /// and per-map panic isolation. Each worker's wall time and item count
-    /// land in `shard` under `classify.worker.<i>.*`, plus a
-    /// `classify.utilization` gauge (sum of worker time over `workers ×
-    /// slowest`; 1.0 = perfectly balanced chunks). A map whose
-    /// classification panics yields `None` in its slot instead of taking
-    /// its worker (and the run) down; the pipeline quarantines `None`
-    /// slots under the `worker_panic` reason, while
-    /// [`classify_maps`](Self::classify_maps) treats any `None` as fatal.
-    fn classify_maps_guarded(
+    /// Stage 2 for one map, guarded: a classification that panics yields
+    /// [`Pattern::Unclassified`] instead of taking its worker (and the
+    /// run) down. Every classify in the pipeline goes through here.
+    pub(crate) fn classify_one(&self, map: &DeploymentMap) -> Pattern {
+        catch_item(|| {
+            #[cfg(test)]
+            assert_ne!(map.domain.as_str(), tests::CLASSIFY_FAULT_DOMAIN);
+            classify(map, &self.config.classify)
+        })
+        .unwrap_or(Pattern::Unclassified)
+    }
+
+    /// Stage 2: classify every map through the guarded
+    /// `classify_one`, in parallel contiguous
+    /// chunks when `workers > 1`. Chunks write their own windows of the
+    /// output, so it is identical to the serial one. A map whose
+    /// classification panicked holds [`Pattern::Unclassified`]; the
+    /// pipeline quarantines it under `worker_panic`.
+    pub fn classify_maps(&self, maps: &[DeploymentMap]) -> Vec<Pattern> {
+        self.classify_maps_metered(maps, &mut MetricsShard::default())
+    }
+
+    /// [`classify_maps`](Self::classify_maps) with per-worker metering:
+    /// each worker's wall time and item count land in `shard` under
+    /// `classify.worker.<i>.*`, plus a `classify.utilization` gauge (sum
+    /// of worker time over `workers × slowest`; 1.0 = perfectly balanced
+    /// chunks).
+    fn classify_maps_metered(
         &self,
         maps: &[DeploymentMap],
         shard: &mut MetricsShard,
-    ) -> Vec<Option<Pattern>> {
-        let Some(chunk) = parallel_chunk(maps.len(), self.config.workers, MIN_CLASSIFY_PER_WORKER)
-        else {
-            let t = Instant::now();
-            let patterns: Vec<Option<Pattern>> = maps
-                .iter()
-                .map(|m| catch_item(|| classify(m, &self.config.classify)))
-                .collect();
-            shard.record_worker_stats("classify", &[(maps.len(), t.elapsed())]);
-            return patterns;
-        };
+    ) -> Vec<Pattern> {
         // Pre-sized output written in place: each worker owns a disjoint
         // `&mut` window of the final vector, so there is nothing to
         // collect, merge, or re-order after the join.
-        let mut patterns: Vec<Option<Pattern>> = Vec::new();
-        patterns.resize_with(maps.len(), || None);
-        let mut worker_stats: Vec<(usize, std::time::Duration)> = Vec::new();
+        let mut patterns = vec![Pattern::Unclassified; maps.len()];
+        let classify_chunk = |slice: &[DeploymentMap], out: &mut [Pattern]| {
+            let t = Instant::now();
+            for (m, o) in slice.iter().zip(out.iter_mut()) {
+                *o = self.classify_one(m);
+            }
+            (slice.len(), t.elapsed())
+        };
+        let Some(chunk) = parallel_chunk(maps.len(), self.config.workers, MIN_CLASSIFY_PER_WORKER)
+        else {
+            shard.record_worker_stats("classify", &[classify_chunk(maps, &mut patterns)]);
+            return patterns;
+        };
+        let mut worker_stats = Vec::new();
         crossbeam::scope(|scope| {
             let handles: Vec<_> = maps
                 .chunks(chunk)
                 .zip(patterns.chunks_mut(chunk))
-                .map(|(slice, out)| {
-                    scope.spawn(move |_| {
-                        let t = Instant::now();
-                        for (m, o) in slice.iter().zip(out.iter_mut()) {
-                            *o = catch_item(|| classify(m, &self.config.classify));
-                        }
-                        (slice.len(), t.elapsed())
-                    })
-                })
+                .map(|(slice, out)| scope.spawn(move |_| classify_chunk(slice, out)))
                 .collect();
             for h in handles {
                 worker_stats.push(h.join().expect("classify worker thread died"));
@@ -467,7 +484,6 @@ impl Pipeline {
         let alloc0 = metrics::allocated_bytes_total();
         let t = Instant::now();
         let (selection, quarantined) = quarantine_source(src, &self.config.window, inputs.certs);
-        let kept_len = selection.as_ref().map_or(src.len(), Vec::len);
         stage_sample(
             metrics,
             "quarantine",
@@ -477,14 +493,56 @@ impl Pipeline {
         );
         metrics.span_close(span);
 
+        // ---- stages 1–5 -----------------------------------------------
+        let (maps, patterns) =
+            self.build_and_classify(src, selection.as_deref(), metrics, &mut timings);
+        let mut report =
+            self.analyze_classified(&maps, &patterns, quarantined, inputs, metrics, &mut timings);
+
+        timings.total_ms = run_start.elapsed().as_secs_f64() * 1e3;
+        record_funnel(metrics, &report.funnel);
+        if let Some(kb) = metrics::peak_rss_kb() {
+            metrics.gauge("process.peak_rss_kb", kb as f64);
+        }
+        if metrics::alloc_counting_active() {
+            metrics.gauge(
+                "process.alloc_bytes_total",
+                metrics::allocated_bytes_total() as f64,
+            );
+            metrics.gauge(
+                "process.alloc_count_total",
+                metrics::allocation_count_total() as f64,
+            );
+        }
+        metrics.span_close(run_span);
+        report.timings = timings;
+        report
+    }
+
+    /// Stages 1–2, the one path for the batch run and
+    /// [`IncrementalAnalyzer::resume`](crate::incremental::IncrementalAnalyzer::resume):
+    /// build the deployment maps of `src` (restricted to `selection`, the
+    /// quarantine stage's kept rows; `None` means every row), then
+    /// classify them through the guarded [`classify_one`](Self::classify_one).
+    /// Each stage runs in its `stage.*` span with its stage sample, the
+    /// map build's shard gauges and both stages' worker gauges; fills
+    /// `timings.{map_build,classify}`. The patterns parallel the maps, a
+    /// failed classification holding [`Pattern::Unclassified`].
+    pub(crate) fn build_and_classify<S: ObsSource>(
+        &self,
+        src: &S,
+        selection: Option<&[u32]>,
+        metrics: &mut MetricsRegistry,
+        timings: &mut PipelineTimings,
+    ) -> (Vec<DeploymentMap>, Vec<Pattern>) {
         // ---- stage 1: deployment maps ---------------------------------
+        let kept_len = selection.map_or(src.len(), <[u32]>::len);
         let span = metrics.span_open("stage.map_build");
         let alloc0 = metrics::allocated_bytes_total();
         let t = Instant::now();
-        let mut builder = MapBuilder::new(self.config.window.clone());
-        builder.link_gap_scans = self.config.link_gap_scans;
         let (maps, shards) =
-            builder.build_selection(src, selection.as_deref(), self.config.workers);
+            self.map_builder()
+                .build_selection(src, selection, self.config.workers);
         timings.map_build = StageTiming::from_elapsed(t.elapsed(), kept_len);
         let mut stage_shard = MetricsShard::default();
         for (i, s) in shards.iter().enumerate() {
@@ -514,47 +572,21 @@ impl Pipeline {
         let alloc0 = metrics::allocated_bytes_total();
         let mut stage_shard = MetricsShard::default();
         let t = Instant::now();
-        let patterns = self.classify_maps_guarded(&maps, &mut stage_shard);
+        let patterns = self.classify_maps_metered(&maps, &mut stage_shard);
         timings.classify = StageTiming::from_elapsed(t.elapsed(), maps.len());
         metrics.merge(stage_shard);
         stage_sample(metrics, "classify", maps.len(), t.elapsed(), alloc0);
         metrics.span_close(span);
-        // Maps whose classification panicked are quarantined, not
-        // analyzed — and not silently dropped.
-        let (maps, patterns, classify_panics) = drop_panicked(maps, patterns);
-        let mut quarantined = quarantined;
-        if classify_panics > 0 {
-            *quarantined.entry("worker_panic".to_string()).or_insert(0) += classify_panics;
-        }
-
-        // ---- stages 3–5 -----------------------------------------------
-        let mut report =
-            self.analyze_classified(&maps, &patterns, quarantined, inputs, metrics, &mut timings);
-
-        timings.total_ms = run_start.elapsed().as_secs_f64() * 1e3;
-        record_funnel(metrics, &report.funnel);
-        if let Some(kb) = metrics::peak_rss_kb() {
-            metrics.gauge("process.peak_rss_kb", kb as f64);
-        }
-        if metrics::alloc_counting_active() {
-            metrics.gauge(
-                "process.alloc_bytes_total",
-                metrics::allocated_bytes_total() as f64,
-            );
-            metrics.gauge(
-                "process.alloc_count_total",
-                metrics::allocation_count_total() as f64,
-            );
-        }
-        metrics.span_close(run_span);
-        report.timings = timings;
-        report
+        (maps, patterns)
     }
 
     /// Stages 3–5 over classified maps, shared by the batch run and the
     /// incremental analyzer: the funnel's population statistics, the
     /// shortlist and inspect stages (each in its `stage.*` span, with its
-    /// stage sample), then [`finish_report`](Self::finish_report). Fills
+    /// stage sample), then [`finish_report`](Self::finish_report).
+    /// [`Pattern::Unclassified`] maps count under
+    /// `funnel.quarantined.worker_panic`, on top of the stage-0 histogram
+    /// `quarantined`, and are otherwise skipped as if never built. Fills
     /// `timings.{shortlist,inspect,pivot}`; the returned [`Report`]
     /// carries default timings. The `funnel.*` counters are left to the
     /// caller, so a stream does not add them up week after week.
@@ -731,7 +763,7 @@ impl Pipeline {
 
 /// Seed the funnel with population statistics: per-map and worst-per-domain
 /// category histograms over the classified maps, plus the quarantine
-/// counts from stage 0.
+/// counts from stage 0 and the unclassified maps as `worker_panic`.
 fn funnel_population(
     maps: &[DeploymentMap],
     patterns: &[Pattern],
@@ -739,7 +771,6 @@ fn funnel_population(
 ) -> FunnelStats {
     let mut funnel = FunnelStats {
         quarantined,
-        maps_total: maps.len(),
         ..FunnelStats::default()
     };
     // Maps arrive sorted by domain, so a domain's periods are adjacent:
@@ -757,6 +788,11 @@ fn funnel_population(
     let mut prev_domain: Option<&DomainName> = None;
     let mut worst: &'static str = "stable";
     for (m, p) in maps.iter().zip(patterns) {
+        if matches!(p, Pattern::Unclassified) {
+            *funnel.quarantined.entry("worker_panic".into()).or_insert(0) += 1;
+            continue;
+        }
+        funnel.maps_total += 1;
         let cat = p.category();
         *map_cats.entry(cat).or_insert(0) += 1;
         if matches!(p, Pattern::Transient { .. }) {
@@ -810,31 +846,6 @@ fn apply_shortlist_funnel(
 /// panics from unrelated threads.
 fn catch_item<T>(f: impl FnOnce() -> T) -> Option<T> {
     catch_unwind(AssertUnwindSafe(f)).ok()
-}
-
-/// Drop maps whose classification panicked (a `None` slot), keeping the
-/// maps/patterns vectors aligned for the shortlist. Returns the
-/// filtered pair plus the number dropped; the zero-panic fast path
-/// reuses both allocations untouched.
-fn drop_panicked(
-    maps: Vec<DeploymentMap>,
-    patterns: Vec<Option<Pattern>>,
-) -> (Vec<DeploymentMap>, Vec<Pattern>, usize) {
-    debug_assert_eq!(maps.len(), patterns.len(), "patterns must parallel maps");
-    let panicked = patterns.iter().filter(|p| p.is_none()).count();
-    if panicked == 0 {
-        return (maps, patterns.into_iter().flatten().collect(), 0);
-    }
-    let keep = maps.len() - panicked;
-    let mut kept_maps = Vec::with_capacity(keep);
-    let mut kept_patterns = Vec::with_capacity(keep);
-    for (m, p) in maps.into_iter().zip(patterns) {
-        if let Some(p) = p {
-            kept_maps.push(m);
-            kept_patterns.push(p);
-        }
-    }
-    (kept_maps, kept_patterns, panicked)
 }
 
 /// Record one stage's point-in-time samples: wall time and item count as
@@ -1076,6 +1087,10 @@ mod tests {
     use crate::shortlist::ShortlistConfig;
     use retrodns_sim::{SimConfig, World};
 
+    /// The one domain the test-only classify fault panics on. No
+    /// simulated world generates a `.test` name.
+    pub(super) const CLASSIFY_FAULT_DOMAIN: &str = "classify-fault.test";
+
     /// End-to-end: the pipeline recovers most planted hijacks with no
     /// false positives among benign domains.
     #[test]
@@ -1180,42 +1195,103 @@ mod tests {
         assert_eq!(catch_item::<i32>(|| panic!("poisoned record")), None);
     }
 
-    /// Dropping panicked classifications keeps maps and patterns
-    /// aligned and counts exactly the panicked slots.
+    /// A classification that panics is quarantined alike on every
+    /// stages-1–2 path: the batch run, an all-weeks stream and a stream
+    /// resumed from a mid-way checkpoint give byte-identical reports, each
+    /// counting the poisoned maps under `worker_panic`, and none of them
+    /// panics out. The world has more than `2 × MIN_CLASSIFY_PER_WORKER`
+    /// maps, so batch and resume classify in parallel chunks at 2 workers.
     #[test]
-    fn drop_panicked_keeps_vectors_aligned() {
-        use retrodns_types::Period;
-        let mk = |name: &str| DeploymentMap {
-            domain: name.parse().unwrap(),
-            period: Period {
-                id: 0,
-                start: Day(0),
-                end: Day(7),
-            },
-            deployments: Vec::new(),
-            dates_present: Vec::new(),
-            expected_scans: 0,
+    fn classify_fault_is_quarantined_alike_in_batch_stream_and_resume() {
+        use crate::checkpoint::CheckpointStore;
+        use crate::incremental::{week_batches, IncrementalAnalyzer};
+
+        let world = World::build(SimConfig {
+            n_domains: 600,
+            ..SimConfig::small(0xFA17)
+        });
+        let window = &world.config.window;
+        let mut observations = world.observations(&world.scan());
+        // The faulting domain gets a copy of one domain's routed,
+        // in-window, known-cert rows, so stage 0 keeps every one of them.
+        let template = observations[0].domain.clone();
+        let planted: Vec<DomainObservation> = observations
+            .iter()
+            .filter(|o| o.domain == template && o.asn.is_some())
+            .filter(|o| window.period_of(o.date).is_some() && world.certs.contains_key(&o.cert))
+            .map(|o| DomainObservation {
+                domain: CLASSIFY_FAULT_DOMAIN.parse().unwrap(),
+                ..o.clone()
+            })
+            .collect();
+        let poisoned: BTreeSet<_> = planted
+            .iter()
+            .filter_map(|o| window.period_of(o.date))
+            .map(|p| p.id)
+            .collect();
+        assert!(!poisoned.is_empty());
+        observations.extend(planted);
+        observations.sort();
+        let weeks = week_batches(&observations);
+        let half = weeks.len() / 2;
+        let inputs = AnalystInputs {
+            observations: &observations,
+            asdb: &world.geo.asdb,
+            certs: &world.certs,
+            pdns: &world.pdns,
+            crtsh: &world.crtsh,
+            dnssec: Some(&world.dnssec),
+            source_faults: None,
         };
-        let maps = vec![mk("a.com"), mk("b.com"), mk("c.com")];
-        let noisy = classify(&maps[0], &ClassifyConfig::default());
-        let patterns = vec![Some(noisy.clone()), None, Some(noisy.clone())];
+        let json = |r: &Report| serde_json::to_string(r).unwrap();
+        let panics = |f: &FunnelStats| f.quarantined.get("worker_panic").copied().unwrap_or(0);
 
-        let (kept_maps, kept_patterns, dropped) = drop_panicked(maps.clone(), patterns);
-        assert_eq!(dropped, 1);
-        assert_eq!(kept_maps.len(), kept_patterns.len());
-        assert_eq!(
-            kept_maps
-                .iter()
-                .map(|m| m.domain.as_str())
-                .collect::<Vec<_>>(),
-            ["a.com", "c.com"]
-        );
+        for workers in [1, 2] {
+            let config = PipelineConfig {
+                window: window.clone(),
+                workers,
+                ..PipelineConfig::default()
+            };
+            let mut metrics = MetricsRegistry::new();
+            let batch = Pipeline::new(config.clone()).run_with(&inputs, &mut metrics);
+            assert_eq!(panics(&batch.funnel), poisoned.len());
+            assert_eq!(
+                metrics.snapshot().counters["funnel.quarantined.worker_panic"],
+                poisoned.len() as u64
+            );
 
-        // Zero-panic fast path keeps everything.
-        let patterns = vec![Some(noisy.clone()), Some(noisy.clone()), Some(noisy)];
-        let (kept_maps, kept_patterns, dropped) = drop_panicked(maps, patterns);
-        assert_eq!(dropped, 0);
-        assert_eq!(kept_maps.len(), 3);
-        assert_eq!(kept_patterns.len(), 3);
+            let dir = std::env::temp_dir().join(format!(
+                "retrodns-classify-fault-{}-{workers}",
+                std::process::id()
+            ));
+            let _ = std::fs::remove_dir_all(&dir);
+            let store = CheckpointStore::open(&dir).unwrap();
+            let mut stream = IncrementalAnalyzer::new(config.clone());
+            for (i, week) in weeks.iter().enumerate() {
+                if i == half {
+                    stream.checkpoint(&store).unwrap();
+                    let mid = &stream.report().funnel;
+                    assert!(panics(mid) > 0);
+                    assert!(mid.maps_total + panics(mid) > 2 * MIN_CLASSIFY_PER_WORKER);
+                }
+                stream.ingest_week(week, &inputs);
+            }
+            let mut resumed = IncrementalAnalyzer::resume(config, &store).unwrap();
+            let _ = std::fs::remove_dir_all(&dir);
+            for week in &weeks[half..] {
+                resumed.ingest_week(week, &inputs);
+            }
+
+            assert_eq!(
+                json(stream.report()),
+                json(&batch),
+                "stream, workers={workers}"
+            );
+            assert_eq!(
+                json(resumed.report()),
+                json(&batch),
+                "resume, workers={workers}"
+            );
+        }
     }
 }

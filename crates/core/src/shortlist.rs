@@ -221,7 +221,9 @@ pub fn shortlist_guarded(
         {
             let id = by_domain.len();
             let mut periods = HashMap::with_capacity(end - start);
-            for (m, p) in maps[start..end].iter().zip(&patterns[start..end]) {
+            // An unclassified map is quarantined: its period stays out.
+            let run = maps[start..end].iter().zip(&patterns[start..end]);
+            for (m, p) in run.filter(|(_, p)| **p != Pattern::Unclassified) {
                 let transient_asns = match p {
                     Pattern::Transient { findings, .. } => findings
                         .iter()

@@ -169,16 +169,6 @@ impl DnsDb {
             .map(Vec::as_slice)
     }
 
-    /// Full delegation history of a domain (for snapshot/pDNS generation).
-    pub fn delegation_series(&self, domain: &DomainName) -> Option<&TimeSeries<Vec<DomainName>>> {
-        self.delegations.get(domain)
-    }
-
-    /// All domains that ever had a delegation.
-    pub fn delegated_domains(&self) -> impl Iterator<Item = &DomainName> {
-        self.delegations.keys()
-    }
-
     // ------------------------------------------------------------------
     // Zone content & glue (nameserver-operator writes, no registry auth)
     // ------------------------------------------------------------------

@@ -99,11 +99,6 @@ impl<T> TimeSeries<T> {
     pub fn first_change(&self) -> Option<(Day, &T)> {
         self.changes.first().map(|(d, v)| (*d, v))
     }
-
-    /// The last change point, if any.
-    pub fn last_change(&self) -> Option<(Day, &T)> {
-        self.changes.last().map(|(d, v)| (*d, v))
-    }
 }
 
 #[cfg(test)]

@@ -3,7 +3,8 @@
 //! Same philosophy as the vendored serde/crossbeam shims: the workspace is
 //! offline, so instead of pulling in hyper we implement exactly the slice
 //! of HTTP/1.1 the service needs — request-line + headers + Content-Length
-//! bodies, `Connection: close` semantics (one request per connection,
+//! bodies (conflicting lengths are a 400, any Transfer-Encoding a 501),
+//! `Connection: close` semantics (one request per connection,
 //! which is what makes graceful drain trivially correct), a bounded
 //! accept→worker handoff, and hard caps on header/body sizes so a
 //! misbehaving client cannot balloon memory.
@@ -135,6 +136,7 @@ impl Response {
             429 => "Too Many Requests",
             431 => "Request Header Fields Too Large",
             500 => "Internal Server Error",
+            501 => "Not Implemented",
             503 => "Service Unavailable",
             _ => "Unknown",
         }
@@ -248,11 +250,22 @@ fn read_request(stream: &mut TcpStream) -> Result<Option<Request>, Response> {
             query.insert(percent_decode(k, true), percent_decode(v, true));
         }
     }
-    let mut headers = BTreeMap::new();
+    let mut headers: BTreeMap<String, String> = BTreeMap::new();
     for line in lines {
         if let Some((name, value)) = line.split_once(':') {
-            headers.insert(name.trim().to_ascii_lowercase(), value.trim().to_string());
+            let (name, value) = (name.trim().to_ascii_lowercase(), value.trim());
+            // Repeats of one length are harmless; differing lengths leave
+            // the body's end ambiguous (request smuggling), so refuse them.
+            if name == "content-length" && headers.get(&name).is_some_and(|v| v != value) {
+                return Err(Response::error(400, "conflicting content-length"));
+            }
+            headers.insert(name, value.to_string());
         }
+    }
+    // Only Content-Length framing is implemented; a chunked (or any
+    // other transfer-coded) body must not be read as empty.
+    if headers.contains_key("transfer-encoding") {
+        return Err(Response::error(501, "transfer-encoding not supported"));
     }
     let content_length: usize = match headers.get("content-length") {
         None => 0,
@@ -470,6 +483,79 @@ mod tests {
         let mut out = String::new();
         let _ = stream.read_to_string(&mut out);
         assert!(out.starts_with("HTTP/1.1 413"), "got: {out}");
+        server.stop();
+    }
+
+    /// Send `raw` on a fresh connection and return the response's status
+    /// line.
+    fn raw_status_line(addr: &str, raw: &[u8]) -> String {
+        let mut stream = TcpStream::connect(addr).unwrap();
+        stream.write_all(raw).unwrap();
+        let mut out = String::new();
+        let _ = stream.read_to_string(&mut out);
+        out.lines().next().unwrap_or("").to_string()
+    }
+
+    /// Hostile or malformed request heads each get their own 4xx/5xx,
+    /// and none of them takes the server down. Every case is sent whole
+    /// and fully read by the server before it answers, so the close never
+    /// races unread bytes.
+    #[test]
+    fn malformed_requests_get_their_status() {
+        let server = echo_server();
+        let addr = server.addr().to_string();
+        let mut oversized_head = b"GET / HTTP/1.1\r\nx-pad: ".to_vec();
+        oversized_head.resize(MAX_HEAD_BYTES + 1, b'a');
+        let cases: [(&str, &[u8], u16); 10] = [
+            ("malformed request line", b"GARBAGE\r\n\r\n", 400),
+            ("bad version", b"GET / SPDY/3\r\n\r\n", 400),
+            (
+                "non-numeric length",
+                b"POST /x HTTP/1.1\r\ncontent-length: ten\r\n\r\n",
+                400,
+            ),
+            (
+                "negative length",
+                b"POST /x HTTP/1.1\r\ncontent-length: -1\r\n\r\n",
+                400,
+            ),
+            (
+                "overflowing length",
+                b"POST /x HTTP/1.1\r\ncontent-length: 99999999999999999999999\r\n\r\n",
+                400,
+            ),
+            (
+                "conflicting lengths",
+                b"POST /x HTTP/1.1\r\ncontent-length: 2\r\ncontent-length: 3\r\n\r\n",
+                400,
+            ),
+            (
+                "repeated equal lengths",
+                b"POST /x HTTP/1.1\r\ncontent-length: 2\r\ncontent-length: 2\r\n\r\nhi",
+                200,
+            ),
+            (
+                "chunked body",
+                b"POST /x HTTP/1.1\r\ntransfer-encoding: chunked\r\n\r\n",
+                501,
+            ),
+            (
+                "transfer-encoding beside a length",
+                b"POST /x HTTP/1.1\r\ncontent-length: 0\r\nTransfer-Encoding: gzip\r\n\r\n",
+                501,
+            ),
+            ("head over the limit", &oversized_head, 431),
+        ];
+        for (what, raw, status) in cases {
+            let line = raw_status_line(&addr, raw);
+            assert!(
+                line.starts_with(&format!("HTTP/1.1 {status} ")),
+                "{what}: expected {status}, got {line:?}"
+            );
+        }
+        let r = client::get(&addr, "/ok").unwrap();
+        assert_eq!(r.status, 200);
+        assert_eq!(r.text(), "GET /ok q=- body=");
         server.stop();
     }
 

@@ -104,16 +104,6 @@ impl ServerFarm {
             .find(|iv| iv.live_on(day))
             .map(|iv| iv.cert)
     }
-
-    /// Number of endpoints that ever hosted anything.
-    pub fn endpoint_count(&self) -> usize {
-        self.endpoints.len()
-    }
-
-    /// Total number of deployment intervals (diagnostics).
-    pub fn interval_count(&self) -> usize {
-        self.endpoints.values().map(Vec::len).sum()
-    }
 }
 
 impl EndpointSource for ServerFarm {

@@ -413,12 +413,6 @@ impl ObservationStore {
         &self.domains[self.domain_id[i] as usize]
     }
 
-    /// Dense certificate code of row `i`.
-    #[inline]
-    pub fn cert_code(&self, i: usize) -> u32 {
-        self.cert[i]
-    }
-
     /// Certificate id of row `i`.
     #[inline]
     pub fn cert_id(&self, i: usize) -> CertId {

@@ -81,11 +81,6 @@ impl Day {
         self.ymd().2
     }
 
-    /// Number of days since the 2017-01-01 epoch.
-    pub fn days_since_epoch(self) -> u32 {
-        self.0
-    }
-
     /// The later of two days.
     pub fn max(self, other: Day) -> Day {
         if self >= other {

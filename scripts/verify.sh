@@ -1,5 +1,7 @@
 #!/usr/bin/env bash
-# Tier-1 verification chain: everything CI (and a pre-merge check) runs.
+# Local all-in-one verification chain: the tier-1 commands plus the
+# perfbench smoke test and the `experiments` gates, which CI runs as
+# separate steps (.github/workflows/ci.yml).
 # Usage: scripts/verify.sh
 set -euo pipefail
 cd "$(dirname "$0")/.."
