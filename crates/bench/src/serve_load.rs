@@ -7,7 +7,7 @@
 //!   process (the hidden `experiments __serve` child mode, which calls
 //!   the same [`retrodns_serve::run`] the binary does), submits one
 //!   analysis job, and SIGKILL-equivalently `abort()`s the server at
-//!   every [`KillPoint`](retrodns_sim::KillPoint) of a deterministic
+//!   every [`KillPoint`] of a deterministic
 //!   [`ChaosPlan`], restarting it after each crash. A final unkilled
 //!   incarnation finishes the job; its archived report must be
 //!   **byte-identical** to a golden computed in-process by streaming the

@@ -56,7 +56,7 @@
 use crate::checkpoint::{config_fingerprint, CheckpointStore};
 use crate::classify::Pattern;
 use crate::inspect::{DegradedVerdict, DetectedHijack, DetectedTarget};
-use crate::map::{ColSource, DeploymentMap};
+use crate::map::{sorted_selection, ColSource, DeploymentMap};
 use crate::metrics::MetricsRegistry;
 use crate::observability::PipelineTimings;
 use crate::pipeline::{quarantine, AnalystInputs, FunnelStats, Pipeline, PipelineConfig, Report};
@@ -407,14 +407,18 @@ impl IncrementalAnalyzer {
     /// produced, and the same guarded classify: a map whose
     /// classification panics is `Pattern::Unclassified` here as in the
     /// stream, never a panic out of `resume`. The log holds only
-    /// quarantine-kept rows, so stage 0 is not rerun.
+    /// quarantine-kept rows, so stage 0 is not rerun; the log is in week
+    /// order, so it reaches the map engine through a `(domain, date)`
+    /// sorted selection.
     pub fn resume(config: PipelineConfig, store: &CheckpointStore) -> Option<IncrementalAnalyzer> {
         let (log, state): (ObservationStore, IncrementalState) =
             store.load(config_fingerprint(&config)).ok()?;
         let mut analyzer = IncrementalAnalyzer::new(config);
+        let src = ColSource(log.columns());
+        let by_name = sorted_selection(&src, None);
         let (maps, patterns) = analyzer.pipeline.build_and_classify(
-            &ColSource(log.columns()),
-            None,
+            &src,
+            Some(&by_name),
             &mut MetricsRegistry::new(),
             &mut PipelineTimings::default(),
         );
@@ -519,7 +523,9 @@ mod tests {
 
     #[test]
     fn resume_rebuilds_exactly_the_merged_state() {
+        use crate::map::ObsSource;
         use retrodns_sim::{SimConfig, World};
+        use std::cmp::Ordering;
 
         // 400 domains × 40 weeks is over 8 192 logged rows, so the
         // rebuild at workers 2 really splits the log into two shards.
@@ -555,6 +561,13 @@ mod tests {
                 merged.ingest_week(week, &inputs);
             }
             assert!(merged.log.len() > 2 * crate::map::DEFAULT_MIN_OBS_PER_WORKER);
+            // The log is in week order, not name order, so the rebuild
+            // must sort it before the map engine sees it.
+            let log = ColSource(merged.log.columns());
+            assert!(
+                (1..log.len()).any(|i| log.cmp_domain_date(i - 1, i) == Ordering::Greater),
+                "the logged rows are already in (domain, date) order"
+            );
             let dir = std::env::temp_dir().join(format!(
                 "retrodns-incr-rebuild-{}-{workers}",
                 std::process::id()

@@ -14,8 +14,12 @@
 //! `ObsSource`-generic, range-sharded arena
 //! ([`MapBuilder::build_sharded_stats`] over rows,
 //! [`MapBuilder::build_store_stats`] over a columnar store, and
-//! [`MapBuilder::append_scan`] for first sightings). The HashMap/interner
-//! builder in [`reference`] is kept only as the equivalence oracle.
+//! [`MapBuilder::append_scan`] for first sightings). The two public builds
+//! take input in any order and sort it first when they must; the
+//! pipeline's stages-1–2 path hands the engine input that stage 0 has
+//! already put in `(domain, date)` order, and the engine trusts it. The
+//! HashMap/interner builder in [`reference`](mod@reference) is kept only
+//! as the equivalence oracle.
 
 use retrodns_cert::CertId;
 use retrodns_scan::DomainObservation;
@@ -435,11 +439,32 @@ impl MapBuilder {
         self.build_selection(&ColSource(store.columns()), selection, workers)
     }
 
-    /// The engine's entry point over any source, optionally routed
-    /// through a selection. Input that is not `(domain, date)`-sorted is
-    /// routed through a stably sorted selection first; the observations
-    /// themselves never move.
-    pub(crate) fn build_selection<S: ObsSource>(
+    /// The public entry points' engine call over a source in any order,
+    /// optionally routed through a selection: input that is not
+    /// `(domain, date)`-sorted is routed through
+    /// [`sorted_selection`] first; the observations themselves never move.
+    fn build_selection<S: ObsSource>(
+        &self,
+        src: &S,
+        selection: Option<&[u32]>,
+        workers: usize,
+    ) -> (Vec<DeploymentMap>, Vec<ShardStats>) {
+        let sorted = match selection {
+            None => source_is_sorted(src),
+            Some(sel) => source_is_sorted(&Selected { src, sel }),
+        };
+        if sorted {
+            return self.build_sorted(src, selection, workers);
+        }
+        let sel = sorted_selection(src, selection);
+        self.build_sorted(src, Some(&sel), workers)
+    }
+
+    /// The engine over a source (restricted to `selection`, if any) that
+    /// is already `(domain, date)`-sorted — the order the quarantine
+    /// stage's output carries. The order is trusted, not re-checked,
+    /// except by a `debug_assert!` in debug builds.
+    pub(crate) fn build_sorted<S: ObsSource>(
         &self,
         src: &S,
         selection: Option<&[u32]>,
@@ -447,18 +472,16 @@ impl MapBuilder {
     ) -> (Vec<DeploymentMap>, Vec<ShardStats>) {
         assert!(workers >= 1);
         match selection {
-            None if source_is_sorted(src) => return self.build_source(src, workers),
-            Some(sel) if source_is_sorted(&Selected { src, sel }) => {
-                return self.build_source(&Selected { src, sel }, workers)
+            None => {
+                debug_assert!(source_is_sorted(src), "unsorted source");
+                self.build_source(src, workers)
             }
-            _ => {}
+            Some(sel) => {
+                let sel = Selected { src, sel };
+                debug_assert!(source_is_sorted(&sel), "unsorted selection");
+                self.build_source(&sel, workers)
+            }
         }
-        let mut sel: Vec<u32> = match selection {
-            Some(s) => s.to_vec(),
-            None => (0..u32::try_from(src.len()).expect("a source fits u32 indices")).collect(),
-        };
-        sel.sort_by(|&a, &b| src.cmp_domain_date(a as usize, b as usize));
-        self.build_source(&Selected { src, sel: &sel }, workers)
     }
 
     /// Sharded build over an already-sorted source. Small inputs (and
@@ -1090,6 +1113,17 @@ impl PeriodIndex {
 /// [`crate::pipeline::quarantine`] guarantees)?
 fn source_is_sorted<S: ObsSource>(src: &S) -> bool {
     (1..src.len()).all(|i| src.cmp_domain_date(i - 1, i) != Ordering::Greater)
+}
+
+/// `selection` (`None`: every row of `src`) stably sorted by
+/// `(domain, date)`, ready for [`MapBuilder::build_sorted`].
+pub(crate) fn sorted_selection<S: ObsSource>(src: &S, selection: Option<&[u32]>) -> Vec<u32> {
+    let mut sel: Vec<u32> = match selection {
+        Some(s) => s.to_vec(),
+        None => (0..u32::try_from(src.len()).expect("a source fits u32 indices")).collect(),
+    };
+    sel.sort_by(|&a, &b| src.cmp_domain_date(a as usize, b as usize));
+    sel
 }
 
 /// Cut points (exactly `workers + 1`, starting at 0 and ending at

@@ -20,7 +20,9 @@ use crate::inspect::{
     inspect_candidate, t1_star_pass, DegradedVerdict, DetectedHijack, DetectedTarget,
     DismissReason, InspectConfig, InspectOutcome,
 };
-use crate::map::{ColSource, DeploymentMap, MapBuilder, ObsSource, RowSource};
+use crate::map::{
+    ColSource, DeploymentMap, MapBuilder, ObsSource, RowSource, DEFAULT_MIN_OBS_PER_WORKER,
+};
 use crate::metrics::{self, MetricsRegistry, MetricsShard};
 use crate::observability::{PipelineTimings, StageTiming};
 use crate::pivot::{pivot_guarded, PivotConfig};
@@ -37,7 +39,7 @@ use std::borrow::Cow;
 use std::cmp::Ordering;
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 /// Everything a third-party analyst has access to.
 pub struct AnalystInputs<'a> {
@@ -402,7 +404,7 @@ impl Pipeline {
         };
         let workers = self.config.workers;
         let mut partials: Vec<InspectionResults> = Vec::with_capacity(workers);
-        let mut worker_stats: Vec<(usize, std::time::Duration)> = Vec::with_capacity(workers);
+        let mut worker_stats: Vec<(usize, Duration)> = Vec::with_capacity(workers);
         crossbeam::scope(|scope| {
             let handles: Vec<_> = candidates
                 .chunks(chunk)
@@ -483,7 +485,15 @@ impl Pipeline {
         let span = metrics.span_open("stage.quarantine");
         let alloc0 = metrics::allocated_bytes_total();
         let t = Instant::now();
-        let (selection, quarantined) = quarantine_source(src, &self.config.window, inputs.certs);
+        let mut stage_shard = MetricsShard::default();
+        let (selection, quarantined) = quarantine_source(
+            src,
+            &self.config.window,
+            inputs.certs,
+            self.config.workers,
+            &mut stage_shard,
+        );
+        metrics.merge(stage_shard);
         stage_sample(
             metrics,
             "quarantine",
@@ -524,6 +534,8 @@ impl Pipeline {
     /// build the deployment maps of `src` (restricted to `selection`, the
     /// quarantine stage's kept rows; `None` means every row), then
     /// classify them through the guarded [`classify_one`](Self::classify_one).
+    /// `src` through `selection` must already be `(domain, date)`-sorted,
+    /// as both outputs of stage 0 are; the map engine does not re-check.
     /// Each stage runs in its `stage.*` span with its stage sample, the
     /// map build's shard gauges and both stages' worker gauges; fills
     /// `timings.{map_build,classify}`. The patterns parallel the maps, a
@@ -540,9 +552,9 @@ impl Pipeline {
         let span = metrics.span_open("stage.map_build");
         let alloc0 = metrics::allocated_bytes_total();
         let t = Instant::now();
-        let (maps, shards) =
-            self.map_builder()
-                .build_selection(src, selection, self.config.workers);
+        let (maps, shards) = self
+            .map_builder()
+            .build_sorted(src, selection, self.config.workers);
         timings.map_build = StageTiming::from_elapsed(t.elapsed(), kept_len);
         let mut stage_shard = MetricsShard::default();
         for (i, s) in shards.iter().enumerate() {
@@ -560,7 +572,7 @@ impl Pipeline {
                 shards.iter().map(|s| s.observations).sum::<usize>() as f64 / shards.len() as f64;
             stage_shard.gauge("map_build.shard_balance", mean / max as f64);
         }
-        let worker_stats: Vec<(usize, std::time::Duration)> =
+        let worker_stats: Vec<(usize, Duration)> =
             shards.iter().map(|s| (s.observations, s.wall)).collect();
         stage_shard.record_worker_stats("map_build", &worker_stats);
         metrics.merge(stage_shard);
@@ -856,7 +868,7 @@ fn stage_sample(
     metrics: &mut MetricsRegistry,
     name: &str,
     items: usize,
-    wall: std::time::Duration,
+    wall: Duration,
     alloc0: u64,
 ) {
     let ms = wall.as_secs_f64() * 1e3;
@@ -942,13 +954,20 @@ fn record_funnel(metrics: &mut MetricsRegistry, funnel: &FunnelStats) {
 /// histogram (zero copies on the fast path). Otherwise the surviving
 /// records are re-sorted and deduplicated, restoring the ordering
 /// contract of [`retrodns_scan::domain_observations`] for the stages
-/// downstream.
+/// downstream. The check runs on the calling thread; the batch run's
+/// stage 0 splits the same check across its workers.
 pub fn quarantine<'a>(
     observations: &'a [DomainObservation],
     window: &StudyWindow,
     certs: &HashMap<CertId, Certificate>,
 ) -> (Cow<'a, [DomainObservation]>, BTreeMap<String, usize>) {
-    let (selection, reasons) = quarantine_source(&RowSource(observations), window, certs);
+    let (selection, reasons) = quarantine_source(
+        &RowSource(observations),
+        window,
+        certs,
+        1,
+        &mut MetricsShard::default(),
+    );
     let kept = match selection {
         None => Cow::Borrowed(observations),
         Some(sel) => Cow::Owned(
@@ -964,10 +983,21 @@ pub fn quarantine<'a>(
 /// *selection* — indices of the kept observations, in analysis order —
 /// instead of copied records. A clean, sorted source returns `None`
 /// (analyze every observation in place) with an empty histogram.
+///
+/// The clean check splits `0..n` into up to `workers` equal ranges
+/// (serial below [`DEFAULT_MIN_OBS_PER_WORKER`] rows per worker), each
+/// checked on its own worker. A range checks its own rows and the
+/// order of its first row against the row before it, so each cut costs
+/// one compare across the boundary and the ranges together check every
+/// adjacent pair exactly once. The per-range wall times land in `shard`
+/// as `quarantine.worker.<i>.*`. Dirty input (only fault worlds) then
+/// takes one serial reject pass, sort and dedup.
 fn quarantine_source<S: ObsSource>(
     src: &S,
     window: &StudyWindow,
     certs: &HashMap<CertId, Certificate>,
+    workers: usize,
+    shard: &mut MetricsShard,
 ) -> (Option<Vec<u32>>, BTreeMap<String, usize>) {
     let reject = |i: usize| -> Option<&'static str> {
         if window.period_of(src.date(i)).is_none() {
@@ -982,9 +1012,30 @@ fn quarantine_source<S: ObsSource>(
     };
 
     let n = src.len();
-    let clean =
-        (0..n).all(|i| reject(i).is_none() && (i == 0 || src.cmp_full(i - 1, i) == Ordering::Less));
-    if clean {
+    let check_range = |lo: usize, hi: usize| {
+        let t = Instant::now();
+        let clean = (lo..hi)
+            .all(|i| reject(i).is_none() && (i == 0 || src.cmp_full(i - 1, i) == Ordering::Less));
+        (clean, (hi - lo, t.elapsed()))
+    };
+    let ranges: Vec<(bool, (usize, Duration))> =
+        match parallel_chunk(n, workers, DEFAULT_MIN_OBS_PER_WORKER) {
+            None => vec![check_range(0, n)],
+            Some(chunk) => crossbeam::scope(|scope| {
+                let handles: Vec<_> = (0..n)
+                    .step_by(chunk)
+                    .map(|lo| scope.spawn(move |_| check_range(lo, (lo + chunk).min(n))))
+                    .collect();
+                handles
+                    .into_iter()
+                    .map(|h| h.join().expect("quarantine worker thread died"))
+                    .collect()
+            })
+            .expect("crossbeam scope"),
+        };
+    let (clean, worker_stats): (Vec<bool>, Vec<_>) = ranges.into_iter().unzip();
+    shard.record_worker_stats("quarantine", &worker_stats);
+    if clean.iter().all(|&c| c) {
         return (None, BTreeMap::new());
     }
 
@@ -1186,6 +1237,105 @@ mod tests {
         let r2 = loose.run(&inputs);
         assert!(r2.funnel.shortlisted >= r1.funnel.shortlisted);
         assert!(r2.funnel.pruned.values().sum::<usize>() == 0);
+    }
+
+    /// Stage 0 over `rows` at `workers`, with the default window and one
+    /// known certificate, `CertId(1)`.
+    fn quarantine_at(
+        rows: &[DomainObservation],
+        workers: usize,
+    ) -> (Option<Vec<u32>>, BTreeMap<String, usize>) {
+        use retrodns_cert::{CaId, KeyId};
+        let name = rows[0].domain.clone();
+        let cert = Certificate::new(CertId(1), vec![name], CaId(0), Day(0), 90, KeyId(0));
+        let certs = HashMap::from([(CertId(1), cert)]);
+        let window = StudyWindow::default();
+        quarantine_source(
+            &RowSource(rows),
+            &window,
+            &certs,
+            workers,
+            &mut MetricsShard::default(),
+        )
+    }
+
+    /// The parallel clean check cuts `0..n` into ranges and checks each
+    /// range's first row against the row before it. Every flaw planted at
+    /// a cut, or as the first or last row of a range, must give the
+    /// serial selection and histogram at every worker count — in
+    /// particular a duplicate or out-of-order pair straddling a cut, which
+    /// only that boundary compare sees.
+    #[test]
+    fn parallel_clean_check_matches_serial_at_every_cut() {
+        use retrodns_types::{Asn, Ipv4Addr};
+
+        // 1 700 domains × 20 weekly scans: above the parallel floor even
+        // at 8 workers.
+        let clean: Vec<DomainObservation> = (0..1_700u32)
+            .flat_map(|d| {
+                let domain: DomainName = format!("d{d:05}.com").parse().unwrap();
+                (0..20u32).map(move |w| DomainObservation {
+                    domain: domain.clone(),
+                    date: Day(7 * w),
+                    ip: Ipv4Addr(0x0A00_0001),
+                    asn: Some(Asn(64_500)),
+                    country: None,
+                    cert: CertId(1),
+                    trusted: true,
+                })
+            })
+            .collect();
+        let n = clean.len();
+        type Flaw = fn(&mut DomainObservation);
+        let rejects: [(&str, Flaw); 3] = [
+            ("out-of-window", |o| o.date = Day(u32::MAX)),
+            ("unrouted", |o| o.asn = None),
+            ("unknown-cert", |o| o.cert = CertId(2)),
+        ];
+
+        for workers in [1, 2, 3, 8] {
+            assert_eq!(quarantine_at(&clean, workers), (None, BTreeMap::new()));
+        }
+        // Each check: the flawed rows, the expected histogram, and the
+        // worker counts to compare against the serial run.
+        let check = |rows: &[DomainObservation], expect: &[(&str, usize)], workers: &[usize]| {
+            let serial = quarantine_at(rows, 1);
+            assert!(serial.0.is_some(), "a flawed input returned no selection");
+            let expect: BTreeMap<String, usize> =
+                expect.iter().map(|&(r, k)| (r.to_string(), k)).collect();
+            assert_eq!(serial.1, expect);
+            for &w in workers {
+                assert!(quarantine_at(rows, w) == serial, "workers={w} diverged");
+            }
+        };
+        for (reason, flaw) in rejects {
+            for pos in [0, n - 1] {
+                let mut rows = clean.clone();
+                flaw(&mut rows[pos]);
+                check(&rows, &[(reason, 1)], &[2, 3, 8]);
+            }
+        }
+        for workers in [2, 3, 8] {
+            let chunk = parallel_chunk(n, workers, DEFAULT_MIN_OBS_PER_WORKER)
+                .expect("the row set is above the parallel floor");
+            for cut in (chunk..n).step_by(chunk) {
+                let mut rows = clean.clone();
+                rows[cut] = rows[cut - 1].clone();
+                check(&rows, &[("duplicate", 1)], &[workers]);
+
+                let mut rows = clean.clone();
+                rows.swap(cut - 1, cut);
+                check(&rows, &[], &[workers]);
+
+                for (reason, flaw) in rejects {
+                    for pos in [cut - 1, cut] {
+                        let mut rows = clean.clone();
+                        flaw(&mut rows[pos]);
+                        check(&rows, &[(reason, 1)], &[workers]);
+                    }
+                }
+            }
+        }
     }
 
     /// A panicking work item becomes `None` instead of killing the run.

@@ -21,8 +21,8 @@
 //! * [`http`] — minimal HTTP/1.1 server (bounded, drain-on-stop) and
 //!   [`client`] — the matching tiny client for tests/bench.
 //! * [`data`] — job input loading (shared with the CLI).
-//! * [`jobs`] — the [`JobSupervisor`](jobs::JobSupervisor): bounded
-//!   queue, admission, crash recovery, chaos hook.
+//! * [`jobs`] — the [`JobSupervisor`]: bounded queue, admission, crash
+//!   recovery, chaos hook.
 //! * [`events`] — verdict-change event log backing `/watch`.
 //! * [`service`] — routing and shutdown sequencing.
 

@@ -4,9 +4,8 @@
 //! varint; signed deltas go through zigzag first so small negative steps
 //! stay short. Decoding is bounds-checked and rejects varints longer than
 //! ten bytes — a corrupted continuation-bit run must surface as
-//! [`StoreError::Truncated`](crate::StoreError::Truncated) or
-//! [`StoreError::CorruptVarint`](crate::StoreError::CorruptVarint), never
-//! as an out-of-bounds read or a silent wrap.
+//! [`StoreError::Truncated`] or [`StoreError::CorruptVarint`], never as
+//! an out-of-bounds read or a silent wrap.
 
 use crate::StoreError;
 

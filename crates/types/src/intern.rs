@@ -16,7 +16,7 @@
 //! wrapper that keeps its historical `DomainId`-typed API.
 //!
 //! The interner's bucket index uses the workspace-wide
-//! [`bytes_hash`](crate::hash::bytes_hash), the same hash the parallel map
+//! [`bytes_hash`], the same hash the parallel map
 //! builder shards by, so hashing behaviour is deterministic across runs
 //! and consistent between sharding and interning.
 

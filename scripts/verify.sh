@@ -24,6 +24,10 @@ cargo clippy --workspace -- -D warnings
 echo "==> cargo fmt --check"
 cargo fmt --check
 
+# --lib: the retrodns-serve lib and bin would collide on one doc file.
+echo "==> cargo doc (rustdoc warnings are errors)"
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --lib
+
 echo "==> bench worker sweep (quick fixture, workers 1/2/4; algorithm gate 3.0x: reference vs arena map build at 1 worker)"
 cargo run --release -p retrodns-bench --bin experiments -- --scale quick --workers 1 bench
 cargo run --release -p retrodns-bench --bin experiments -- --scale quick --workers 2 bench

@@ -118,10 +118,21 @@ fn metered_report_is_byte_identical_across_workers() {
             baseline_json.len()
         );
         // The metrics themselves reconcile at every worker count too.
+        let snapshot = metrics.snapshot();
         assert_eq!(
-            recorded_funnel_counters(&metrics.snapshot()),
+            recorded_funnel_counters(&snapshot),
             expected_funnel_counters(&report.funnel)
         );
+        // The world is far above the parallel floor, so stage 0's clean
+        // check runs one range per worker, each with its own gauges.
+        assert!(observations.len() > 8 * retrodns::core::map::DEFAULT_MIN_OBS_PER_WORKER);
+        let gauge = |k: &str| snapshot.gauges.get(k).copied();
+        assert_eq!(gauge("quarantine.workers"), Some(workers as f64));
+        let items: f64 = (0..workers)
+            .map(|i| gauge(&format!("quarantine.worker.{i}.items")).expect("per-range items"))
+            .sum();
+        assert_eq!(items, observations.len() as f64);
+        assert!(gauge("quarantine.utilization").is_some_and(|u| u > 0.0 && u <= 1.0 + 1e-9));
     }
 }
 
