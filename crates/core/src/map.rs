@@ -742,12 +742,13 @@ impl MapBuilder {
         // per-row tree inserts (no node allocation, batch stays in
         // cache). Group contents are order-independent set unions, so
         // an unstable sort is safe.
+        let periods = PeriodIndex::new(&self.window);
         let mut rows: Vec<(&DomainName, PeriodId, Day, Asn, &DomainObservation)> = observations
             .iter()
             .filter_map(|obs| {
                 let asn = obs.asn?;
-                let period = self.window.period_of(obs.date)?;
-                Some((&obs.domain, period.id, obs.date, asn, obs))
+                let pid = periods.lookup(obs.date)?;
+                Some((&obs.domain, pid, obs.date, asn, obs))
             })
             .collect();
         rows.sort_unstable_by(|a, b| (a.0, a.1, a.2, a.3).cmp(&(b.0, b.1, b.2, b.3)));
@@ -756,7 +757,6 @@ impl MapBuilder {
         // the same sorted rows.
         let refs: Vec<&DomainObservation> = rows.iter().map(|r| r.4).collect();
         let bucket_rows = RowSource(&refs);
-        let periods = PeriodIndex::new(&self.window);
         let mut arena = ShardArena::default();
         let mut outcome = AppendOutcome::default();
         // Merge-join against the (domain, period.id)-sorted maps:

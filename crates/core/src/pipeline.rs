@@ -509,6 +509,18 @@ impl Pipeline {
         let mut report =
             self.analyze_classified(&maps, &patterns, quarantined, inputs, metrics, &mut timings);
 
+        // ---- release --------------------------------------------------
+        // Freeing the maps costs milliseconds at corpus scale; time it in
+        // its own span so the run's wall time stays covered by stages.
+        let span = metrics.span_open("stage.release");
+        let alloc0 = metrics::allocated_bytes_total();
+        let t = Instant::now();
+        let released = maps.len();
+        drop(maps);
+        drop(patterns);
+        stage_sample(metrics, "release", released, t.elapsed(), alloc0);
+        metrics.span_close(span);
+
         timings.total_ms = run_start.elapsed().as_secs_f64() * 1e3;
         record_funnel(metrics, &report.funnel);
         if let Some(kb) = metrics::peak_rss_kb() {
@@ -944,7 +956,8 @@ fn record_funnel(metrics: &mut MetricsRegistry, funnel: &FunnelStats) {
 /// skipping them inside the stages.
 ///
 /// Reasons (checked in this order; a record counts once):
-/// * `out-of-window` — the scan date falls in no study period;
+/// * `out-of-window` — the scan date falls outside the study window
+///   (`start..=end`), so in no study period;
 /// * `unrouted` — no origin AS (the map builder needs network identity);
 /// * `unknown-cert` — the certificate id is absent from the analyst's
 ///   cert store, so nothing about the endpoint can be corroborated;
@@ -999,14 +1012,27 @@ fn quarantine_source<S: ObsSource>(
     workers: usize,
     shard: &mut MetricsShard,
 ) -> (Option<Vec<u32>>, BTreeMap<String, usize>) {
-    let reject = |i: usize| -> Option<&'static str> {
-        if window.period_of(src.date(i)).is_none() {
-            Some("out-of-window")
-        } else if src.asn(i).is_none() {
-            Some("unrouted")
-        } else if !certs.contains_key(&src.cert(i)) {
-            Some("unknown-cert")
-        } else {
+    // A fresh reject test per pass (one per clean-check range, one for
+    // the dirty pass). Each remembers the last certificate id it found in
+    // `certs` and skips the lookup while the next row presents that same
+    // id, as adjacent rows mostly do. An id that is not found is never
+    // remembered, so every row carrying it is looked up and rejected.
+    let new_pass = || {
+        let mut known: Option<CertId> = None;
+        move |i: usize| -> Option<&'static str> {
+            if !window.contains(src.date(i)) {
+                return Some("out-of-window");
+            }
+            if src.asn(i).is_none() {
+                return Some("unrouted");
+            }
+            let cert = src.cert(i);
+            if known != Some(cert) {
+                if !certs.contains_key(&cert) {
+                    return Some("unknown-cert");
+                }
+                known = Some(cert);
+            }
             None
         }
     };
@@ -1014,6 +1040,7 @@ fn quarantine_source<S: ObsSource>(
     let n = src.len();
     let check_range = |lo: usize, hi: usize| {
         let t = Instant::now();
+        let mut reject = new_pass();
         let clean = (lo..hi)
             .all(|i| reject(i).is_none() && (i == 0 || src.cmp_full(i - 1, i) == Ordering::Less));
         (clean, (hi - lo, t.elapsed()))
@@ -1042,6 +1069,7 @@ fn quarantine_source<S: ObsSource>(
     let n = u32::try_from(n).expect("a source fits u32 indices");
     let mut reasons: BTreeMap<String, usize> = BTreeMap::new();
     let mut kept: Vec<u32> = Vec::with_capacity(n as usize);
+    let mut reject = new_pass();
     for i in 0..n {
         match reject(i as usize) {
             Some(r) => *reasons.entry(r.to_string()).or_insert(0) += 1,
@@ -1239,44 +1267,37 @@ mod tests {
         assert!(r2.funnel.pruned.values().sum::<usize>() == 0);
     }
 
-    /// Stage 0 over `rows` at `workers`, with the default window and one
-    /// known certificate, `CertId(1)`.
+    /// Stage 0 over `rows` at `workers`, with one known certificate,
+    /// `CertId(1)`.
     fn quarantine_at(
         rows: &[DomainObservation],
+        window: &StudyWindow,
         workers: usize,
     ) -> (Option<Vec<u32>>, BTreeMap<String, usize>) {
         use retrodns_cert::{CaId, KeyId};
         let name = rows[0].domain.clone();
         let cert = Certificate::new(CertId(1), vec![name], CaId(0), Day(0), 90, KeyId(0));
         let certs = HashMap::from([(CertId(1), cert)]);
-        let window = StudyWindow::default();
         quarantine_source(
             &RowSource(rows),
-            &window,
+            window,
             &certs,
             workers,
             &mut MetricsShard::default(),
         )
     }
 
-    /// The parallel clean check cuts `0..n` into ranges and checks each
-    /// range's first row against the row before it. Every flaw planted at
-    /// a cut, or as the first or last row of a range, must give the
-    /// serial selection and histogram at every worker count — in
-    /// particular a duplicate or out-of-order pair straddling a cut, which
-    /// only that boundary compare sees.
-    #[test]
-    fn parallel_clean_check_matches_serial_at_every_cut() {
+    /// 1 700 domains × 20 weekly scans from `start`, each row routed and
+    /// on `CertId(1)`, in analysis order: above the parallel floor even
+    /// at 8 workers.
+    fn clean_rows(start: Day) -> Vec<DomainObservation> {
         use retrodns_types::{Asn, Ipv4Addr};
-
-        // 1 700 domains × 20 weekly scans: above the parallel floor even
-        // at 8 workers.
-        let clean: Vec<DomainObservation> = (0..1_700u32)
+        (0..1_700u32)
             .flat_map(|d| {
                 let domain: DomainName = format!("d{d:05}.com").parse().unwrap();
                 (0..20u32).map(move |w| DomainObservation {
                     domain: domain.clone(),
-                    date: Day(7 * w),
+                    date: start + 7 * w,
                     ip: Ipv4Addr(0x0A00_0001),
                     asn: Some(Asn(64_500)),
                     country: None,
@@ -1284,7 +1305,51 @@ mod tests {
                     trusted: true,
                 })
             })
-            .collect();
+            .collect()
+    }
+
+    /// The window test is `start..=end`: of rows dated the day before the
+    /// window, its first day, its last day and the day after, exactly the
+    /// outer two are `out-of-window`, at every worker count.
+    #[test]
+    fn quarantine_window_edges_are_inclusive() {
+        use retrodns_types::Ipv4Addr;
+
+        let start = Day(100);
+        let window = StudyWindow::new(start, start + 7 * 19, 6, 7);
+        let mut rows = clean_rows(start);
+        let n = rows.len();
+        let edges = [window.start - 1, window.start, window.end, window.end + 1];
+        for (pos, date) in [0, n / 3, 2 * n / 3, n - 1].into_iter().zip(edges) {
+            rows[pos].date = date;
+            // A second address keeps the in-window edge rows from
+            // repeating a kept row.
+            rows[pos].ip = Ipv4Addr(0x0A00_0002);
+        }
+        let serial = quarantine_at(&rows, &window, 1);
+        assert_eq!(serial.1, BTreeMap::from([("out-of-window".to_string(), 2)]));
+        assert_eq!(serial.0.as_ref().map(Vec::len), Some(n - 2));
+        for workers in [2, 8] {
+            assert!(
+                quarantine_at(&rows, &window, workers) == serial,
+                "workers={workers} diverged"
+            );
+        }
+    }
+
+    /// The parallel clean check cuts `0..n` into ranges and checks each
+    /// range's first row against the row before it. Every flaw planted at
+    /// a cut, or as the first or last row of a range, must give the
+    /// serial selection and histogram at every worker count — in
+    /// particular a duplicate or out-of-order pair straddling a cut, which
+    /// only that boundary compare sees. Every pass remembers the last
+    /// certificate id it found; the unknown ids planted here (a lone one
+    /// between two rows on the known id, and runs of one repeated id)
+    /// must each be looked up and rejected on every row.
+    #[test]
+    fn parallel_clean_check_matches_serial_at_every_cut() {
+        let window = StudyWindow::default();
+        let clean = clean_rows(window.start);
         let n = clean.len();
         type Flaw = fn(&mut DomainObservation);
         let rejects: [(&str, Flaw); 3] = [
@@ -1294,19 +1359,34 @@ mod tests {
         ];
 
         for workers in [1, 2, 3, 8] {
-            assert_eq!(quarantine_at(&clean, workers), (None, BTreeMap::new()));
+            assert_eq!(
+                quarantine_at(&clean, &window, workers),
+                (None, BTreeMap::new())
+            );
         }
         // Each check: the flawed rows, the expected histogram, and the
         // worker counts to compare against the serial run.
         let check = |rows: &[DomainObservation], expect: &[(&str, usize)], workers: &[usize]| {
-            let serial = quarantine_at(rows, 1);
+            let serial = quarantine_at(rows, &window, 1);
             assert!(serial.0.is_some(), "a flawed input returned no selection");
             let expect: BTreeMap<String, usize> =
                 expect.iter().map(|&(r, k)| (r.to_string(), k)).collect();
             assert_eq!(serial.1, expect);
             for &w in workers {
-                assert!(quarantine_at(rows, w) == serial, "workers={w} diverged");
+                assert!(
+                    quarantine_at(rows, &window, w) == serial,
+                    "workers={w} diverged"
+                );
             }
+        };
+        // Two adjacent rows on one unknown id. `CertId(0)` also catches a
+        // memo seeded with a default id instead of none.
+        let unknown_run = |run: std::ops::Range<usize>| {
+            let mut rows = clean.clone();
+            for o in &mut rows[run] {
+                o.cert = CertId(0);
+            }
+            rows
         };
         for (reason, flaw) in rejects {
             for pos in [0, n - 1] {
@@ -1314,6 +1394,9 @@ mod tests {
                 flaw(&mut rows[pos]);
                 check(&rows, &[(reason, 1)], &[2, 3, 8]);
             }
+        }
+        for run in [0..2, n - 2..n] {
+            check(&unknown_run(run), &[("unknown-cert", 2)], &[2, 3, 8]);
         }
         for workers in [2, 3, 8] {
             let chunk = parallel_chunk(n, workers, DEFAULT_MIN_OBS_PER_WORKER)
@@ -1327,12 +1410,19 @@ mod tests {
                 rows.swap(cut - 1, cut);
                 check(&rows, &[], &[workers]);
 
+                // The lone `unknown-cert` flaw sits between two rows on
+                // the known id.
                 for (reason, flaw) in rejects {
                     for pos in [cut - 1, cut] {
                         let mut rows = clean.clone();
                         flaw(&mut rows[pos]);
                         check(&rows, &[(reason, 1)], &[workers]);
                     }
+                }
+                // A run ending one range, straddling the cut, and
+                // starting the next range.
+                for run in [cut - 2..cut, cut - 1..cut + 1, cut..cut + 2] {
+                    check(&unknown_run(run), &[("unknown-cert", 2)], &[workers]);
                 }
             }
         }
@@ -1368,7 +1458,7 @@ mod tests {
         let planted: Vec<DomainObservation> = observations
             .iter()
             .filter(|o| o.domain == template && o.asn.is_some())
-            .filter(|o| window.period_of(o.date).is_some() && world.certs.contains_key(&o.cert))
+            .filter(|o| window.contains(o.date) && world.certs.contains_key(&o.cert))
             .map(|o| DomainObservation {
                 domain: CLASSIFY_FAULT_DOMAIN.parse().unwrap(),
                 ..o.clone()

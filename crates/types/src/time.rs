@@ -315,7 +315,17 @@ impl StudyWindow {
         out
     }
 
+    /// Is `day` inside the window (`start..=end`)? Answers exactly what
+    /// `self.period_of(day).is_some()` answers, because [`Self::periods`]
+    /// partitions the window contiguously, but with two integer compares
+    /// instead of calendar arithmetic.
+    #[inline]
+    pub fn contains(&self, day: Day) -> bool {
+        (self.start..=self.end).contains(&day)
+    }
+
     /// The period containing `day`, if the day is within the window.
+    /// To test membership only, use [`Self::contains`].
     ///
     /// Runs in O(1): the period index is the number of whole calendar
     /// months elapsed since `start`, divided by `period_months`. The
@@ -325,7 +335,7 @@ impl StudyWindow {
     /// anchored on the 29th–31st (where clamping shifts boundaries) fall
     /// back to scanning [`Self::periods`].
     pub fn period_of(&self, day: Day) -> Option<Period> {
-        if day < self.start || day > self.end {
+        if !self.contains(day) {
             return None;
         }
         let (sy, sm, sd) = self.start.ymd();
@@ -550,6 +560,35 @@ mod tests {
             let linear = periods.iter().find(|p| p.contains(day)).copied();
             assert_eq!(w.period_of(day), linear, "day {day}");
             day += 1;
+        }
+    }
+
+    #[test]
+    fn contains_agrees_with_period_of() {
+        // Anchors on the 1st, the 28th (the last exact anchor) and the
+        // 29th–31st (clamped boundaries), at 1-, 6- and 12-month periods,
+        // from 40 days before the window to 40 days after it.
+        for anchor in [1, 28, 29, 30, 31] {
+            for period_months in [1, 6, 12] {
+                let w = StudyWindow::new(
+                    Day::from_ymd(2018, 1, anchor).unwrap(),
+                    Day::from_ymd(2020, 3, 15).unwrap(),
+                    period_months,
+                    7,
+                );
+                let periods = w.periods();
+                let mut day = w.start - 40;
+                while day <= w.end + 40 {
+                    let in_a_period = periods.iter().any(|p| p.contains(day));
+                    assert_eq!(w.contains(day), in_a_period, "window {w:?} day {day}");
+                    assert_eq!(
+                        w.period_of(day).is_some(),
+                        in_a_period,
+                        "window {w:?} day {day}"
+                    );
+                    day += 1;
+                }
+            }
         }
     }
 

@@ -18,8 +18,8 @@ cargo test -q --release --test streaming_equivalence
 echo "==> perfbench smoke test (the benchmark builds against crates/ by path)"
 cargo test --offline --release --manifest-path perfbench/Cargo.toml
 
-echo "==> cargo clippy --workspace -- -D warnings"
-cargo clippy --workspace -- -D warnings
+echo "==> cargo clippy --workspace --all-targets -- -D warnings"
+cargo clippy --workspace --all-targets -- -D warnings
 
 echo "==> cargo fmt --check"
 cargo fmt --check

@@ -176,6 +176,7 @@ fn snapshot_schema_is_deterministic() {
             "stage.shortlist",
             "stage.inspect",
             "stage.pivot",
+            "stage.release",
         ]
     );
     assert!(a.spans.iter().all(|s| s.wall_ms >= 0.0));
@@ -219,6 +220,7 @@ fn snapshot_schema_is_deterministic() {
         "shortlist",
         "inspect",
         "pivot",
+        "release",
     ];
     let stream_stages = ["shortlist", "inspect", "pivot"];
     for (path, snapshot, stages) in [
