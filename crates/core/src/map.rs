@@ -1066,8 +1066,7 @@ fn sighting_windows<K: Ord + Copy>(sightings: &mut Vec<(K, Day)>) -> BTreeMap<K,
 struct PeriodIndex {
     periods: Vec<Period>,
     expected_scans: Vec<usize>,
-    start: Day,
-    end: Day,
+    window: StudyWindow,
 }
 
 impl PeriodIndex {
@@ -1078,8 +1077,7 @@ impl PeriodIndex {
             .map(|p| window.scan_dates_in(p).len())
             .collect();
         PeriodIndex {
-            start: window.start,
-            end: window.end,
+            window: window.clone(),
             periods,
             expected_scans,
         }
@@ -1090,7 +1088,7 @@ impl PeriodIndex {
     /// start days suffices.
     #[inline]
     fn lookup(&self, day: Day) -> Option<PeriodId> {
-        if day < self.start || day > self.end {
+        if !self.window.contains(day) {
             return None;
         }
         let idx = self.periods.partition_point(|p| p.start <= day) - 1;

@@ -1287,56 +1287,6 @@ mod tests {
         )
     }
 
-    /// 1 700 domains × 20 weekly scans from `start`, each row routed and
-    /// on `CertId(1)`, in analysis order: above the parallel floor even
-    /// at 8 workers.
-    fn clean_rows(start: Day) -> Vec<DomainObservation> {
-        use retrodns_types::{Asn, Ipv4Addr};
-        (0..1_700u32)
-            .flat_map(|d| {
-                let domain: DomainName = format!("d{d:05}.com").parse().unwrap();
-                (0..20u32).map(move |w| DomainObservation {
-                    domain: domain.clone(),
-                    date: start + 7 * w,
-                    ip: Ipv4Addr(0x0A00_0001),
-                    asn: Some(Asn(64_500)),
-                    country: None,
-                    cert: CertId(1),
-                    trusted: true,
-                })
-            })
-            .collect()
-    }
-
-    /// The window test is `start..=end`: of rows dated the day before the
-    /// window, its first day, its last day and the day after, exactly the
-    /// outer two are `out-of-window`, at every worker count.
-    #[test]
-    fn quarantine_window_edges_are_inclusive() {
-        use retrodns_types::Ipv4Addr;
-
-        let start = Day(100);
-        let window = StudyWindow::new(start, start + 7 * 19, 6, 7);
-        let mut rows = clean_rows(start);
-        let n = rows.len();
-        let edges = [window.start - 1, window.start, window.end, window.end + 1];
-        for (pos, date) in [0, n / 3, 2 * n / 3, n - 1].into_iter().zip(edges) {
-            rows[pos].date = date;
-            // A second address keeps the in-window edge rows from
-            // repeating a kept row.
-            rows[pos].ip = Ipv4Addr(0x0A00_0002);
-        }
-        let serial = quarantine_at(&rows, &window, 1);
-        assert_eq!(serial.1, BTreeMap::from([("out-of-window".to_string(), 2)]));
-        assert_eq!(serial.0.as_ref().map(Vec::len), Some(n - 2));
-        for workers in [2, 8] {
-            assert!(
-                quarantine_at(&rows, &window, workers) == serial,
-                "workers={workers} diverged"
-            );
-        }
-    }
-
     /// The parallel clean check cuts `0..n` into ranges and checks each
     /// range's first row against the row before it. Every flaw planted at
     /// a cut, or as the first or last row of a range, must give the
@@ -1348,8 +1298,29 @@ mod tests {
     /// must each be looked up and rejected on every row.
     #[test]
     fn parallel_clean_check_matches_serial_at_every_cut() {
-        let window = StudyWindow::default();
-        let clean = clean_rows(window.start);
+        use retrodns_types::{Asn, Ipv4Addr};
+
+        // Started after `Day::EPOCH` so that the day before it exists.
+        let window = StudyWindow {
+            start: Day(100),
+            ..StudyWindow::default()
+        };
+        // 1 700 domains × 20 weekly scans: above the parallel floor even
+        // at 8 workers.
+        let clean: Vec<DomainObservation> = (0..1_700u32)
+            .flat_map(|d| {
+                let domain: DomainName = format!("d{d:05}.com").parse().unwrap();
+                (0..20u32).map(move |w| DomainObservation {
+                    domain: domain.clone(),
+                    date: window.start + 7 * w,
+                    ip: Ipv4Addr(0x0A00_0001),
+                    asn: Some(Asn(64_500)),
+                    country: None,
+                    cert: CertId(1),
+                    trusted: true,
+                })
+            })
+            .collect();
         let n = clean.len();
         type Flaw = fn(&mut DomainObservation);
         let rejects: [(&str, Flaw); 3] = [
@@ -1398,6 +1369,17 @@ mod tests {
         for run in [0..2, n - 2..n] {
             check(&unknown_run(run), &[("unknown-cert", 2)], &[2, 3, 8]);
         }
+        // The window is `start..=end`: of rows dated the day before it,
+        // its first day, its last day and the day after, only the outer
+        // two are rejected. A second address keeps the inner two from
+        // repeating a kept row.
+        let mut rows = clean.clone();
+        let edges = [window.start - 1, window.start, window.end, window.end + 1];
+        for (pos, date) in [0, n / 3, 2 * n / 3, n - 1].into_iter().zip(edges) {
+            rows[pos].date = date;
+            rows[pos].ip = Ipv4Addr(0x0A00_0002);
+        }
+        check(&rows, &[("out-of-window", 2)], &[2, 3, 8]);
         for workers in [2, 3, 8] {
             let chunk = parallel_chunk(n, workers, DEFAULT_MIN_OBS_PER_WORKER)
                 .expect("the row set is above the parallel floor");

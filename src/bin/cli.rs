@@ -157,21 +157,6 @@ struct SourceOpts {
     allow_degraded: bool,
 }
 
-/// The pipeline configuration `analyze` runs: one analysis worker per
-/// hardware thread (1 when the count is unknown). Reports do not depend
-/// on the worker count.
-fn analyze_config(dnssec_signal: bool, policy: SourcePolicy) -> PipelineConfig {
-    PipelineConfig {
-        workers: std::thread::available_parallelism().map_or(1, |n| n.get()),
-        inspect: InspectConfig {
-            use_dnssec_signal: dnssec_signal,
-            ..InspectConfig::default()
-        },
-        sources: policy,
-        ..PipelineConfig::default()
-    }
-}
-
 fn analyze(
     dir: &Path,
     dnssec_signal: bool,
@@ -190,7 +175,17 @@ fn analyze(
         data.crtsh.len()
     );
     let observations = data.observations();
-    let pipeline = Pipeline::new(analyze_config(dnssec_signal, source_opts.policy));
+    // One analysis worker per hardware thread (1 when the count is
+    // unknown); reports do not depend on the worker count.
+    let pipeline = Pipeline::new(PipelineConfig {
+        workers: std::thread::available_parallelism().map_or(1, |n| n.get()),
+        inspect: InspectConfig {
+            use_dnssec_signal: dnssec_signal,
+            ..InspectConfig::default()
+        },
+        sources: source_opts.policy,
+        ..PipelineConfig::default()
+    });
     let inputs = data.inputs(&observations);
     // A checkpoint dir is exclusive for the duration of the run: two
     // processes interleaving weekly checkpoints would corrupt both. The
@@ -567,17 +562,5 @@ fn main() -> ExitCode {
             eprintln!("error: {e}");
             ExitCode::FAILURE
         }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn analyze_runs_one_worker_per_hardware_thread() {
-        let nproc = std::thread::available_parallelism().map_or(1, |n| n.get());
-        let config = analyze_config(false, SourcePolicy::default());
-        assert_eq!(config.workers, nproc);
     }
 }

@@ -390,6 +390,30 @@ fn analyze_metrics_out_and_trace() {
         gauges.iter().any(|(k, _)| k.ends_with(".alloc_bytes")),
         "no allocation gauges in {json}"
     );
+    // `analyze` runs one worker per hardware thread: stage 0's clean
+    // check cuts its rows into that many ranges, unless they are too
+    // few for the per-worker floor (this world's rows clear it at up to
+    // ~80 threads).
+    let snapshot: retrodns::core::metrics::MetricsSnapshot =
+        serde::json::from_str(&json).expect("metrics snapshot");
+    let rows: f64 = snapshot
+        .gauges
+        .iter()
+        .filter(|(k, _)| k.starts_with("quarantine.worker.") && k.ends_with(".items"))
+        .map(|(_, v)| v)
+        .sum();
+    let nproc = std::thread::available_parallelism().map_or(1, |n| n.get());
+    let floor = retrodns::core::map::DEFAULT_MIN_OBS_PER_WORKER;
+    let expected = if rows >= (nproc * floor) as f64 {
+        nproc
+    } else {
+        1
+    };
+    assert_eq!(
+        snapshot.gauges.get("quarantine.workers"),
+        Some(&(expected as f64)),
+        "{json}"
+    );
 
     // Prometheus exposition.
     let metrics_prom = base.join("metrics.prom");
