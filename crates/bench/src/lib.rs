@@ -20,11 +20,7 @@ pub use archetypes::{
 };
 pub use bundle::{Bundle, Scale};
 pub use faults::{run_fault_campaign, FaultCell, FaultMatrix};
-pub use perf::{
-    bench_map_matrix, bench_mem, bench_pipeline, bench_stream, git_rev, MatrixCell, MemPoint,
-    PipelineBenchReport, StageBench, StreamPoint, TrajectoryPoint, MEM_SCANS_PER_DOMAIN,
-    STREAM_SEED,
-};
+pub use perf::{bench_mem, git_rev, MemPoint, PipelineBenchReport, MEM_SCANS_PER_DOMAIN};
 pub use serve_load::{
     run_serve_harness, serve_child_main, ServeHarness, ServePoint, SERVE_CHAOS_WORKERS, SERVE_SEED,
 };

@@ -727,24 +727,29 @@ mod tests {
 
     #[test]
     fn t1_with_pdns_and_ct_is_hijacked() {
-        let (crtsh, certs) = crtsh_with(666, 100);
-        let out = inspect_candidate(
-            &candidate(TransientKind::T1, 666, false),
-            &pdns_with_hijack(),
-            &crtsh,
-            &certs,
-            None,
-            &InspectConfig::default(),
-        );
-        let InspectOutcome::Hijacked(h) = out else {
-            panic!("expected hijacked, got {out:?}")
-        };
-        assert_eq!(h.dtype, DetectionType::T1);
-        assert!(h.pdns_corroborated && h.ct_corroborated);
-        assert_eq!(h.malicious_cert, Some(CertId(666)));
-        assert_eq!(h.sub, Some(d("mail.mfa.gov.kg")));
-        assert_eq!(h.attacker_ns, vec![d("ns1.kg-infocom.ru")]);
-        assert_eq!(h.first_evidence, Day(100));
+        // The changes are sighted on days 100–101. `issue_window_days` is
+        // 14 and inclusive: issuance 13 and 14 days before the first
+        // sighting or after the last still corroborates.
+        for issued in [100, 87, 86, 114, 115] {
+            let (crtsh, certs) = crtsh_with(666, issued);
+            let out = inspect_candidate(
+                &candidate(TransientKind::T1, 666, false),
+                &pdns_with_hijack(),
+                &crtsh,
+                &certs,
+                None,
+                &InspectConfig::default(),
+            );
+            let InspectOutcome::Hijacked(h) = out else {
+                panic!("issued day {issued}: expected hijacked, got {out:?}")
+            };
+            assert_eq!(h.dtype, DetectionType::T1);
+            assert!(h.pdns_corroborated && h.ct_corroborated);
+            assert_eq!(h.malicious_cert, Some(CertId(666)));
+            assert_eq!(h.sub, Some(d("mail.mfa.gov.kg")));
+            assert_eq!(h.attacker_ns, vec![d("ns1.kg-infocom.ru")]);
+            assert_eq!(h.first_evidence, Day(issued));
+        }
     }
 
     #[test]
@@ -763,8 +768,9 @@ mod tests {
 
     #[test]
     fn t1_stale_cert_dismissed() {
-        // Cert issued day 0; transient first seen day 98 — stale.
-        let (crtsh, certs) = crtsh_with(666, 0);
+        // The transient is first seen on day 98. A cert issued on day 0 is
+        // stale; `stale_days` is 42 and the cutoff is strict, so a first
+        // sighting 41 or 42 days after issuance is not.
         let mut pdns = PassiveDns::new();
         pdns.insert_aggregate(
             &d("mfa.gov.kg"),
@@ -773,18 +779,33 @@ mod tests {
             Day(180),
             10,
         );
-        let out = inspect_candidate(
-            &candidate(TransientKind::T1, 666, false),
-            &pdns,
-            &crtsh,
-            &certs,
-            None,
-            &InspectConfig::default(),
-        );
-        assert!(matches!(
-            out,
-            InspectOutcome::Dismissed(DismissReason::StaleCert)
-        ));
+        for (issued, stale) in [
+            (0, true),
+            (98 - 43, true),
+            (98 - 42, false),
+            (98 - 41, false),
+        ] {
+            let (crtsh, certs) = crtsh_with(666, issued);
+            let out = inspect_candidate(
+                &candidate(TransientKind::T1, 666, false),
+                &pdns,
+                &crtsh,
+                &certs,
+                None,
+                &InspectConfig::default(),
+            );
+            if stale {
+                assert!(
+                    matches!(out, InspectOutcome::Dismissed(DismissReason::StaleCert)),
+                    "issued day {issued}: {out:?}"
+                );
+            } else {
+                assert!(
+                    matches!(out, InspectOutcome::Inconclusive),
+                    "issued day {issued}: {out:?}"
+                );
+            }
+        }
     }
 
     #[test]
@@ -808,6 +829,24 @@ mod tests {
             &InspectConfig::default(),
         );
         assert!(!matches!(out, InspectOutcome::Hijacked(_)));
+
+        // One day past the inclusive 14-day window on either side of the
+        // day 100–101 changes.
+        for issued in [85, 116] {
+            let (crtsh, certs) = crtsh_with(666, issued);
+            let out = inspect_candidate(
+                &candidate(TransientKind::T1, 666, false),
+                &pdns_with_hijack(),
+                &crtsh,
+                &certs,
+                None,
+                &InspectConfig::default(),
+            );
+            assert!(
+                matches!(out, InspectOutcome::Inconclusive),
+                "issued day {issued}: {out:?}"
+            );
+        }
     }
 
     #[test]

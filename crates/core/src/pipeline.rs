@@ -883,6 +883,9 @@ fn stage_sample(
     wall: Duration,
     alloc0: u64,
 ) {
+    // Read the allocation total before this function's own gauge keys
+    // and `/proc` read allocate, so the delta is the stage's alone.
+    let alloc_delta = metrics::allocated_bytes_total().saturating_sub(alloc0);
     let ms = wall.as_secs_f64() * 1e3;
     metrics.gauge(&format!("stage.{name}.wall_ms"), ms);
     metrics.gauge(&format!("stage.{name}.items"), items as f64);
@@ -891,8 +894,7 @@ fn stage_sample(
         metrics.gauge(&format!("stage.{name}.rss_kb"), kb as f64);
     }
     if metrics::alloc_counting_active() {
-        let delta = metrics::allocated_bytes_total().saturating_sub(alloc0);
-        metrics.gauge(&format!("stage.{name}.alloc_bytes"), delta as f64);
+        metrics.gauge(&format!("stage.{name}.alloc_bytes"), alloc_delta as f64);
     }
 }
 

@@ -28,12 +28,6 @@ cargo fmt --check
 echo "==> cargo doc (rustdoc warnings are errors)"
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --lib
 
-echo "==> bench worker sweep (quick fixture, workers 1/2/4; algorithm gate 3.0x: reference vs arena map build at 1 worker)"
-cargo run --release -p retrodns-bench --bin experiments -- --scale quick --workers 1 bench
-cargo run --release -p retrodns-bench --bin experiments -- --scale quick --workers 2 bench
-cargo run --release -p retrodns-bench --bin experiments -- --scale quick --workers 4 \
-    --min-algorithm-speedup 3.0 bench
-
 echo "==> memory trajectory (100k/1M streamed; 24 B/obs + 3.0x reduction gates)"
 cargo run --release -p retrodns-bench --bin experiments -- --max-obs 1000000 \
     --max-bytes-per-obs 24.0 --min-mem-reduction 3.0 mem
@@ -43,11 +37,5 @@ cargo run --release -p retrodns-bench --bin experiments -- archetypes
 
 echo "==> serve chaos + load (5 SIGKILLs mid-analysis at workers 1/2/8, byte-identical resume; 50 qps gate)"
 cargo run --release -p retrodns-bench --bin experiments -- --min-serve-qps 50 serve
-
-# Last, so that a failing timing gate cannot stop the gates above from
-# running.
-echo "==> stream smoke (week ingest + checkpoint vs full re-analysis at 20 weeks; 5.0x gate)"
-cargo run --release -p retrodns-bench --bin experiments -- --stream-weeks 20 \
-    --min-stream-speedup 5.0 --reps 5 stream
 
 echo "tier-1 verification passed"

@@ -1,34 +1,12 @@
 //! End-to-end test of the `retrodns` CLI: simulate → info → analyze
-//! --score over a temp directory, plus the stream checkpoint/resume flags and
-//! the `experiments` harness's machine-readable outputs.
+//! --score over a temp directory, plus the stream checkpoint/resume flags,
+//! the metrics and trace outputs, and the lock and checkpoint-dir errors.
 
 use std::path::{Path, PathBuf};
 use std::process::Command;
 
 fn bin() -> Command {
     Command::new(env!("CARGO_BIN_EXE_retrodns"))
-}
-
-/// The `experiments` binary (package `retrodns-bench`) lands in the same
-/// target directory as `retrodns`; `CARGO_BIN_EXE_*` only covers bins of
-/// the package under test, so locate it relative to ours. A root-package
-/// `cargo test` does not build other members' bins, so build it first
-/// (a no-op when it is up to date), in the profile of this test.
-fn experiments_exe() -> PathBuf {
-    let mut build = Command::new(env!("CARGO"));
-    build
-        .current_dir(env!("CARGO_MANIFEST_DIR"))
-        .args(["build", "--offline", "-q", "-p", "retrodns-bench"])
-        .args(["--bin", "experiments"]);
-    if !cfg!(debug_assertions) {
-        build.arg("--release");
-    }
-    let status = build.status().expect("run cargo build");
-    assert!(status.success(), "building the experiments binary failed");
-    Path::new(env!("CARGO_BIN_EXE_retrodns"))
-        .parent()
-        .expect("bin dir")
-        .join(format!("experiments{}", std::env::consts::EXE_SUFFIX))
 }
 
 fn temp_dir(tag: &str) -> PathBuf {
@@ -232,102 +210,6 @@ fn analyze_stream_resume_over_different_data_starts_fresh() {
 }
 
 #[test]
-fn experiments_bench_emits_schema_valid_json() {
-    let exe = experiments_exe();
-    assert!(
-        exe.exists(),
-        "experiments binary not built at {} — run via workspace `cargo test`",
-        exe.display()
-    );
-    let dir = temp_dir("bench");
-    let out = Command::new(&exe)
-        .current_dir(&dir)
-        .args(["--scale", "quick", "--seed", "5", "--workers", "2", "bench"])
-        .output()
-        .expect("run experiments bench");
-    assert!(
-        out.status.success(),
-        "{}",
-        String::from_utf8_lossy(&out.stderr)
-    );
-    let json = std::fs::read_to_string(dir.join("BENCH_pipeline.json")).expect("bench json");
-    let v: serde::Value = serde::json::from_str(&json).expect("valid JSON");
-    for key in ["workers", "domains", "observations", "reps"] {
-        assert!(
-            matches!(v.get(key), Some(serde::Value::Num(_))),
-            "{key} missing or not a number"
-        );
-    }
-    let stages = v
-        .get("stages")
-        .and_then(|s| s.as_array())
-        .expect("stages array");
-    assert!(!stages.is_empty(), "no stages benchmarked");
-    for stage in stages {
-        assert!(matches!(stage.get("stage"), Some(serde::Value::Str(_))));
-        for key in [
-            "items",
-            "serial_ms",
-            "parallel_ms",
-            "serial_ops_per_sec",
-            "parallel_ops_per_sec",
-            "speedup",
-        ] {
-            assert!(
-                matches!(stage.get(key), Some(serde::Value::Num(_))),
-                "stage field {key} missing or not a number"
-            );
-        }
-    }
-    for key in ["metered_ms", "metrics_overhead_pct"] {
-        assert!(
-            matches!(v.get(key), Some(serde::Value::Num(_))),
-            "{key} missing or not a number"
-        );
-    }
-    let trajectory = v
-        .get("trajectory")
-        .and_then(|t| t.as_array())
-        .expect("trajectory array");
-    assert_eq!(trajectory.len(), 1, "first bench run appends one point");
-
-    // A second run in the same directory appends to the trajectory
-    // instead of overwriting it.
-    let out = Command::new(&exe)
-        .current_dir(&dir)
-        .args(["--scale", "quick", "--seed", "5", "--workers", "2", "bench"])
-        .output()
-        .expect("run experiments bench again");
-    assert!(
-        out.status.success(),
-        "{}",
-        String::from_utf8_lossy(&out.stderr)
-    );
-    let json = std::fs::read_to_string(dir.join("BENCH_pipeline.json")).expect("bench json");
-    let v: serde::Value = serde::json::from_str(&json).expect("valid JSON");
-    let trajectory = v
-        .get("trajectory")
-        .and_then(|t| t.as_array())
-        .expect("trajectory array");
-    assert_eq!(trajectory.len(), 2, "second bench run appends a point");
-    for point in trajectory {
-        for key in [
-            "workers",
-            "observations",
-            "e2e_serial_ms",
-            "e2e_parallel_ms",
-            "metrics_overhead_pct",
-        ] {
-            assert!(
-                matches!(point.get(key), Some(serde::Value::Num(_))),
-                "trajectory field {key} missing or not a number"
-            );
-        }
-    }
-    let _ = std::fs::remove_dir_all(&dir);
-}
-
-#[test]
 fn analyze_metrics_out_and_trace() {
     let base = temp_dir("metrics");
     let data = base.join("data");
@@ -413,6 +295,13 @@ fn analyze_metrics_out_and_trace() {
         snapshot.gauges.get("quarantine.workers"),
         Some(&(expected as f64)),
         "{json}"
+    );
+    // The release stage only frees memory, so bytes it reports as
+    // allocated would be the sampler's own gauge keys and `/proc` read.
+    let released = snapshot.gauges.get("stage.release.alloc_bytes");
+    assert!(
+        released.is_some_and(|&bytes| bytes < 1024.0),
+        "stage.release.alloc_bytes = {released:?}"
     );
 
     // Prometheus exposition.
