@@ -23,7 +23,7 @@
 
 use crate::map::DeploymentMap;
 use retrodns_cert::CertId;
-use retrodns_types::{Asn, CountryCode, Day};
+use retrodns_types::{Asn, CountryCode, Day, Ipv4Addr};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeSet;
 
@@ -235,15 +235,12 @@ pub fn classify(map: &DeploymentMap, cfg: &ClassifyConfig) -> Pattern {
         for &i in &stable {
             let d = &map.deployments[i];
             bg.asns.insert(d.asn);
-            bg.countries.extend(d.countries.iter().copied());
-            bg.certs.extend(d.certs.iter().copied());
+            bg.countries.extend(d.country_codes());
+            bg.certs.extend(d.cert_ids());
         }
         bg
     };
-    let stable_ips: BTreeSet<_> = stable
-        .iter()
-        .flat_map(|&i| map.deployments[i].ips.iter().copied())
-        .collect();
+    let in_stable_ips = |ip: &Ipv4Addr| stable.iter().any(|&i| map.deployments[i].has_ip(*ip));
 
     let mut findings: Vec<TransientFinding> = Vec::new();
     let mut transition: Option<TransitionKind> = None;
@@ -261,9 +258,9 @@ pub fn classify(map: &DeploymentMap, cfg: &ClassifyConfig) -> Pattern {
                 // Appears mid-period and persists: expansion.
                 if background.asns.contains(&d.asn) {
                     // Same AS: S3 (new location) or S4 (new cert, same infra).
-                    let kind = if d.ips.is_subset(&stable_ips) {
+                    let kind = if d.ips.iter().all(in_stable_ips) {
                         StableKind::S4
-                    } else if d.certs.is_subset(&background.certs) {
+                    } else if d.cert_ids().all(|id| background.certs.contains(&id)) {
                         StableKind::S3
                     } else {
                         StableKind::S4
@@ -272,7 +269,7 @@ pub fn classify(map: &DeploymentMap, cfg: &ClassifyConfig) -> Pattern {
                         (Some(StableKind::S4), _) | (_, StableKind::S4) => StableKind::S4,
                         _ => StableKind::S3,
                     });
-                } else if d.certs.is_subset(&background.certs) {
+                } else if d.cert_ids().all(|id| background.certs.contains(&id)) {
                     transition = Some(match transition {
                         Some(TransitionKind::X3) => TransitionKind::X3,
                         Some(TransitionKind::X2) => TransitionKind::X2,
@@ -297,8 +294,10 @@ pub fn classify(map: &DeploymentMap, cfg: &ClassifyConfig) -> Pattern {
                     continue;
                 }
                 if d.span_days() <= cfg.transient_max_days {
-                    let new_certs: BTreeSet<CertId> =
-                        d.certs.difference(&background.certs).copied().collect();
+                    let new_certs: BTreeSet<CertId> = d
+                        .cert_ids()
+                        .filter(|id| !background.certs.contains(id))
+                        .collect();
                     let kind = if new_certs.is_empty() {
                         TransientKind::T2
                     } else {
@@ -390,20 +389,21 @@ mod tests {
     /// in debug builds the moment such a period reaches the classifier.
     #[test]
     fn degenerate_period_does_not_underflow() {
-        use crate::map::Deployment;
+        use crate::map::{CertSighting, Deployment};
         use retrodns_types::{Asn, Period};
-        use std::collections::{BTreeMap, BTreeSet};
         let deployment = Deployment {
             asn: Asn(100),
             first: Day(0),
             last: Day(0),
             dates: vec![Day(0)],
-            ips: BTreeSet::from([retrodns_types::Ipv4Addr(1)]),
-            certs: BTreeSet::from([CertId(1)]),
-            countries: BTreeSet::new(),
-            trusted_certs: BTreeSet::new(),
-            cert_windows: BTreeMap::new(),
-            country_windows: BTreeMap::new(),
+            ips: vec![retrodns_types::Ipv4Addr(1)],
+            certs: vec![CertSighting {
+                id: CertId(1),
+                first: Day(0),
+                last: Day(0),
+                trusted: false,
+            }],
+            countries: vec![],
         };
         for end in [0u32, 1] {
             let map = DeploymentMap {
@@ -492,18 +492,19 @@ mod tests {
     /// presenting `cert` throughout.
     fn deployment(asn: u32, first: u32, last: u32, cert: u64) -> crate::map::Deployment {
         use retrodns_types::{Asn, Ipv4Addr};
-        use std::collections::BTreeMap;
         crate::map::Deployment {
             asn: Asn(asn),
             first: Day(first),
             last: Day(last),
             dates: vec![Day(first), Day(last)],
-            ips: BTreeSet::from([Ipv4Addr(asn)]),
-            certs: BTreeSet::from([CertId(cert)]),
-            countries: BTreeSet::new(),
-            trusted_certs: BTreeSet::new(),
-            cert_windows: BTreeMap::from([(CertId(cert), (Day(first), Day(last)))]),
-            country_windows: BTreeMap::new(),
+            ips: vec![Ipv4Addr(asn)],
+            certs: vec![crate::map::CertSighting {
+                id: CertId(cert),
+                first: Day(first),
+                last: Day(last),
+                trusted: false,
+            }],
+            countries: vec![],
         }
     }
 

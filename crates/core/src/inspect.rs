@@ -258,7 +258,7 @@ fn gather_pdns_window(
             }
             RecordType::A => {
                 if let Some(ip) = e.rdata.as_a() {
-                    if candidate.transient.ips.contains(&ip)
+                    if candidate.transient.has_ip(ip)
                         && e.visibility_days() <= cfg.short_change_max_days
                     {
                         ev.a_changes.push(e);
@@ -326,9 +326,9 @@ fn evidence_hijack(
         ct_corroborated: ct,
         dnssec_corroborated: dnssec,
         malicious_cert: cert,
-        attacker_ips: candidate.transient.ips.iter().copied().collect(),
+        attacker_ips: candidate.transient.ips.to_vec(),
         attacker_asn: Some(candidate.transient.asn),
-        attacker_cc: candidate.transient.countries.iter().next().copied(),
+        attacker_cc: candidate.transient.country_codes().next(),
         attacker_ns,
         victim_asns: candidate.background.asns.iter().copied().collect(),
         victim_ccs: candidate.background.countries.iter().copied().collect(),
@@ -349,9 +349,9 @@ fn evidence_target(
         first_evidence,
         pdns_corroborated: pdns,
         ct_corroborated: ct,
-        attacker_ip: candidate.transient.ips.iter().next().copied(),
+        attacker_ip: candidate.transient.ips.first().copied(),
         attacker_asn: Some(candidate.transient.asn),
-        attacker_cc: candidate.transient.countries.iter().next().copied(),
+        attacker_cc: candidate.transient.country_codes().next(),
         victim_asns: candidate.background.asns.iter().copied().collect(),
         victim_ccs: candidate.background.countries.iter().copied().collect(),
     }
@@ -604,9 +604,9 @@ pub fn t1_star_pass(
                 ct_corroborated: cert.is_some(),
                 dnssec_corroborated: false,
                 malicious_cert: *cert,
-                attacker_ips: candidate.transient.ips.iter().copied().collect(),
+                attacker_ips: candidate.transient.ips.to_vec(),
                 attacker_asn: Some(candidate.transient.asn),
-                attacker_cc: candidate.transient.countries.iter().next().copied(),
+                attacker_cc: candidate.transient.country_codes().next(),
                 attacker_ns: Vec::new(),
                 victim_asns: candidate.background.asns.iter().copied().collect(),
                 victim_ccs: candidate.background.countries.iter().copied().collect(),
@@ -621,12 +621,11 @@ pub fn t1_star_pass(
 mod tests {
     use super::*;
     use crate::classify::{StableBackground, TransientFinding, TransientKind};
-    use crate::map::Deployment;
+    use crate::map::{CertSighting, CountrySighting, Deployment};
     use retrodns_cert::authority::CaId;
     use retrodns_cert::{CtLog, KeyId};
     use retrodns_dns::RecordData;
     use retrodns_types::StudyWindow;
-    use std::collections::BTreeMap;
 
     fn d(s: &str) -> DomainName {
         s.parse().unwrap()
@@ -641,12 +640,18 @@ mod tests {
             first: Day(first),
             last: Day(last),
             dates: vec![Day(first), Day(last)],
-            ips: [ip(the_ip)].into_iter().collect(),
-            certs: [CertId(cert)].into_iter().collect(),
-            countries: ["NL".parse().unwrap()].into_iter().collect(),
-            trusted_certs: [CertId(cert)].into_iter().collect(),
-            cert_windows: BTreeMap::new(),
-            country_windows: BTreeMap::new(),
+            ips: vec![ip(the_ip)],
+            certs: vec![CertSighting {
+                id: CertId(cert),
+                first: Day(first),
+                last: Day(last),
+                trusted: true,
+            }],
+            countries: vec![CountrySighting {
+                cc: "NL".parse().unwrap(),
+                first: Day(first),
+                last: Day(last),
+            }],
         }
     }
 

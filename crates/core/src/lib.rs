@@ -48,7 +48,7 @@ pub use classify::{Pattern, StableKind, TransientKind, TransitionKind};
 pub use incremental::{week_batches, IncrementalAnalyzer, WeekDelta};
 pub use inspect::{DegradedVerdict, DetectedHijack, DetectedTarget, DetectionType, InspectOutcome};
 pub use lock::{DirLock, LockError};
-pub use map::{Deployment, DeploymentGroup, DeploymentMap, MapBuilder};
+pub use map::{CertSighting, CountrySighting, Deployment, DeploymentMap, MapBuilder};
 pub use metrics::{CountingAlloc, MetricsRegistry, MetricsShard, MetricsSnapshot};
 pub use observability::{PipelineTimings, StageTiming};
 pub use pipeline::{AnalystInputs, InspectionResults, Pipeline, PipelineConfig, Report};

@@ -27,7 +27,7 @@ use retrodns_store::{ObsColumns, ObservationStore, ASN_NONE, COUNTRY_NONE};
 use retrodns_types::{Asn, CountryCode, Day, DomainName, Ipv4Addr, Period, PeriodId, StudyWindow};
 use std::borrow::Borrow;
 use std::cmp::Ordering;
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 use std::time::{Duration, Instant};
 
 /// Field access the map engine and the quarantine stage need from an
@@ -252,24 +252,59 @@ impl<S: ObsSource> ObsSource for Selected<'_, S> {
     }
 }
 
-/// Observable infrastructure of a domain in one ASN on one scan date.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct DeploymentGroup {
-    /// Scan date.
-    pub date: Day,
-    /// Origin ASN.
-    pub asn: Asn,
-    /// Addresses observed.
-    pub ips: BTreeSet<retrodns_types::Ipv4Addr>,
-    /// Certificates returned.
-    pub certs: BTreeSet<CertId>,
-    /// Countries the addresses geolocate to.
-    pub countries: BTreeSet<CountryCode>,
-    /// Any browser-trusted certificate among them?
+/// One certificate of a deployment: when it was first and last seen, and
+/// whether any scan group presenting it was browser-trusted. The window
+/// distinguishes rollover S2 from added-certificate S4.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct CertSighting {
+    /// The certificate.
+    pub id: CertId,
+    /// First scan date it was returned.
+    pub first: Day,
+    /// Last scan date it was returned.
+    pub last: Day,
+    /// Returned in a group with a browser-trusted endpoint.
     pub trusted: bool,
 }
 
-/// A longitudinal run of same-ASN deployment groups.
+impl CertSighting {
+    /// A sighting on `date` alone.
+    fn on(id: CertId, date: Day, trusted: bool) -> CertSighting {
+        CertSighting {
+            id,
+            first: date,
+            last: date,
+            trusted,
+        }
+    }
+}
+
+/// One country of a deployment and when it was first and last seen (a
+/// late first sighting is within-AS geographic expansion, pattern S3).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct CountrySighting {
+    /// The country the addresses geolocate to.
+    pub cc: CountryCode,
+    /// First scan date it was seen.
+    pub first: Day,
+    /// Last scan date it was seen.
+    pub last: Day,
+}
+
+impl CountrySighting {
+    /// A sighting on `date` alone.
+    fn on(cc: CountryCode, date: Day) -> CountrySighting {
+        CountrySighting {
+            cc,
+            first: date,
+            last: date,
+        }
+    }
+}
+
+/// A longitudinal run of same-ASN scan groups. Each infrastructure
+/// column is an exact-size vector, strictly ascending by key, so
+/// membership is a binary search.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Deployment {
     /// The ASN all groups share.
@@ -278,22 +313,14 @@ pub struct Deployment {
     pub first: Day,
     /// Last scan date observed.
     pub last: Day,
-    /// Every scan date the deployment appeared on.
+    /// Every scan date the deployment appeared on, ascending.
     pub dates: Vec<Day>,
-    /// Union of addresses.
-    pub ips: BTreeSet<retrodns_types::Ipv4Addr>,
-    /// Union of certificates.
-    pub certs: BTreeSet<CertId>,
-    /// Union of countries.
-    pub countries: BTreeSet<CountryCode>,
-    /// Certificates that are browser-trusted.
-    pub trusted_certs: BTreeSet<CertId>,
-    /// First/last sighting of each certificate within the deployment
-    /// (distinguishes rollover S2 from added-certificate S4).
-    pub cert_windows: BTreeMap<CertId, (Day, Day)>,
-    /// First/last sighting of each country (detects within-AS geographic
-    /// expansion, pattern S3).
-    pub country_windows: BTreeMap<CountryCode, (Day, Day)>,
+    /// Distinct addresses, ascending.
+    pub ips: Vec<Ipv4Addr>,
+    /// Distinct certificates, ascending by id.
+    pub certs: Vec<CertSighting>,
+    /// Distinct countries, ascending by code.
+    pub countries: Vec<CountrySighting>,
 }
 
 impl Deployment {
@@ -307,31 +334,47 @@ impl Deployment {
         self.dates.len()
     }
 
+    /// Was `ip` observed in this deployment?
+    pub fn has_ip(&self, ip: Ipv4Addr) -> bool {
+        self.ips.binary_search(&ip).is_ok()
+    }
+
+    /// Certificate ids, ascending.
+    pub fn cert_ids(&self) -> impl Iterator<Item = CertId> + '_ {
+        self.certs.iter().map(|s| s.id)
+    }
+
+    /// Browser-trusted certificate ids, ascending.
+    pub fn trusted_cert_ids(&self) -> impl Iterator<Item = CertId> + '_ {
+        self.certs.iter().filter(|s| s.trusted).map(|s| s.id)
+    }
+
+    /// Country codes, ascending.
+    pub fn country_codes(&self) -> impl Iterator<Item = CountryCode> + '_ {
+        self.countries.iter().map(|s| s.cc)
+    }
+
     /// Does this deployment present any browser-trusted certificate?
     pub fn has_trusted_cert(&self) -> bool {
-        !self.trusted_certs.is_empty()
+        self.certs.iter().any(|s| s.trusted)
     }
 
     /// Do two certificates' sighting windows strictly overlap (both seen
     /// concurrently rather than rolled over)?
     pub fn has_concurrent_certs(&self) -> bool {
-        let windows: Vec<&(Day, Day)> = self.cert_windows.values().collect();
-        for (i, a) in windows.iter().enumerate() {
-            for b in windows.iter().skip(i + 1) {
-                if a.0 < b.1 && b.0 < a.1 {
-                    return true;
-                }
-            }
-        }
-        false
+        self.certs.iter().enumerate().any(|(i, a)| {
+            self.certs[i + 1..]
+                .iter()
+                .any(|b| a.first < b.last && b.first < a.last)
+        })
     }
 
     /// Did a new country appear more than `margin_days` after the
     /// deployment's first sighting (within-AS geographic expansion)?
     pub fn country_added_after(&self, margin_days: u32) -> bool {
-        self.country_windows
-            .values()
-            .any(|(first, _)| *first > self.first + margin_days)
+        self.countries
+            .iter()
+            .any(|s| s.first > self.first + margin_days)
     }
 }
 
@@ -613,9 +656,10 @@ impl MapBuilder {
     /// into one [`DeploymentMap`], clearing the arena for the next
     /// bucket. This is the reference builder's linking restated over flat
     /// arrays: group by `(asn, date)` via one unstable sort, link runs
-    /// with the gap rule, and batch-deduplicate the accumulated ip /
-    /// cert-fingerprint / country columns with sort+dedup instead of
-    /// per-insert tree rebalancing.
+    /// with the gap rule, and deduplicate each deployment's accumulated
+    /// ip / certificate / country columns with one sort per column, each
+    /// certificate's and country's one-day sightings folding into one
+    /// window.
     #[allow(clippy::too_many_arguments)]
     fn flush_bucket<S: ObsSource>(
         &self,
@@ -650,61 +694,47 @@ impl MapBuilder {
         arena.kept.clear();
         arena.triples.sort_unstable();
 
-        let mut deployments: Vec<Deployment> = Vec::new();
         let triples = std::mem::take(&mut arena.triples);
         let mut i = 0;
         while i < triples.len() {
             let asn = triples[i].0;
-            arena.clear_deployment();
-            let mut first = triples[i].1;
-            let mut last = first;
             while i < triples.len() && triples[i].0 == asn {
                 let date = triples[i].1;
-                if date - last > max_gap_days {
-                    deployments.push(arena.finish_deployment(asn, first, last));
-                    arena.clear_deployment();
-                    first = date;
+                if matches!(arena.dates.last(), Some(&last) if date - last > max_gap_days) {
+                    arena.finish_deployment(asn);
                 }
-                // One (asn, date) group: collect its columns and the
+                // One (asn, date) group: collect its sightings and the
                 // group-level trust flag (any trusted endpoint marks every
                 // certificate of the group as trusted, as in the
                 // reference's `DeploymentGroup::trusted`).
-                let group_start = i;
+                let group_start = arena.certs.len();
                 let mut trusted = false;
                 while i < triples.len() && triples[i].0 == asn && triples[i].1 == date {
                     let j = triples[i].2 as usize;
-                    let cert = src.cert(j);
                     arena.ips.push(src.ip(j));
-                    arena.certs.push(cert);
-                    arena.cert_dates.push((cert, date));
+                    arena.certs.push(CertSighting::on(src.cert(j), date, false));
                     if let Some(cc) = src.country(j) {
-                        arena.countries.push(cc);
-                        arena.cc_dates.push((cc, date));
+                        arena.countries.push(CountrySighting::on(cc, date));
                     }
                     trusted |= src.trusted(j);
                     i += 1;
                 }
-                if trusted {
-                    for triple in &triples[group_start..i] {
-                        arena.trusted_certs.push(src.cert(triple.2 as usize));
-                    }
+                for s in &mut arena.certs[group_start..] {
+                    s.trusted = trusted;
                 }
-                if arena.dates.last() != Some(&date) {
-                    arena.dates.push(date);
-                }
-                last = date;
+                arena.dates.push(date);
             }
-            deployments.push(arena.finish_deployment(asn, first, last));
+            arena.finish_deployment(asn);
         }
         arena.triples = triples;
         arena.triples.clear();
-        deployments.sort_by_key(|d| (d.first, d.asn));
+        arena.deployments.sort_by_key(|d| (d.first, d.asn));
 
         let period = periods.period(pid);
         maps.push(DeploymentMap {
             domain: src.domain_at(domain_row).clone(),
             period,
-            deployments,
+            deployments: arena.deployments.drain(..).collect(),
             dates_present: arena.map_dates.clone(),
             expected_scans: periods.expected_scans(pid),
         });
@@ -790,7 +820,6 @@ impl MapBuilder {
                     while k < end && rows[k].2 == date && rows[k].3 == asn {
                         k += 1;
                     }
-                    let g = group_rows(date, asn, &rows[j..k]);
                     if map.dates_present.last() != Some(&date) {
                         map.dates_present.push(date);
                     }
@@ -798,21 +827,26 @@ impl MapBuilder {
                     // (first, asn) sorted vector, so scan backwards
                     // (deployments per map are few — a lookup table
                     // costs more than it saves).
-                    let current = map.deployments.iter().rposition(|d| d.asn == asn);
-                    match current {
-                        Some(di) if date - map.deployments[di].last <= max_gap_days => {
-                            absorb_group(&mut map.deployments[di], &g)
-                        }
+                    let di = match map.deployments.iter().rposition(|d| d.asn == asn) {
+                        Some(di) if date - map.deployments[di].last <= max_gap_days => di,
                         _ => {
-                            let mut d = new_deployment(asn, date);
-                            absorb_group(&mut d, &g);
                             // Appended dates strictly exceed every
                             // existing `first`, and groups arrive in
                             // (date, asn) order, so pushing keeps the
                             // (first, asn) sort invariant.
-                            map.deployments.push(d);
+                            map.deployments.push(new_deployment(asn, date));
+                            map.deployments.len() - 1
                         }
-                    }
+                    };
+                    let group = &rows[j..k];
+                    absorb_group(
+                        &mut map.deployments[di],
+                        date,
+                        group.iter().any(|r| r.4.trusted),
+                        group.iter().map(|r| r.4.ip),
+                        group.iter().map(|r| r.4.cert),
+                        group.iter().filter_map(|r| r.4.country),
+                    );
                     j = k;
                 }
                 debug_assert!(
@@ -843,33 +877,6 @@ impl MapBuilder {
     }
 }
 
-/// Fold a contiguous run of rows sharing one (date, asn) into a
-/// [`DeploymentGroup`] — the same set unions the nested-BTreeMap
-/// bucketing performed row by row.
-fn group_rows(
-    date: Day,
-    asn: Asn,
-    rows: &[(&DomainName, PeriodId, Day, Asn, &DomainObservation)],
-) -> DeploymentGroup {
-    let mut g = DeploymentGroup {
-        date,
-        asn,
-        ips: BTreeSet::new(),
-        certs: BTreeSet::new(),
-        countries: BTreeSet::new(),
-        trusted: false,
-    };
-    for (_, _, _, _, obs) in rows {
-        g.ips.insert(obs.ip);
-        g.certs.insert(obs.cert);
-        if let Some(cc) = obs.country {
-            g.countries.insert(cc);
-        }
-        g.trusted |= obs.trusted;
-    }
-    g
-}
-
 /// Dirty set reported by [`MapBuilder::append_scan`]: which maps the
 /// batch touched, as ascending indices into the post-merge map vector.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -894,30 +901,45 @@ impl AppendOutcome {
     }
 }
 
-/// Fold one scan-date group into a deployment run: extend the sighting
-/// span, union the infrastructure columns, and widen the per-certificate
-/// and per-country windows. Shared verbatim by the batch linker and the
-/// incremental append so the two paths cannot drift.
-fn absorb_group(d: &mut Deployment, g: &DeploymentGroup) {
-    d.last = g.date;
-    if d.dates.last() != Some(&g.date) {
-        d.dates.push(g.date);
+/// Fold one `(date, asn)` scan group, dated no earlier than the run's
+/// last sighting, into a deployment run: extend the sighting span and
+/// merge the group's addresses, certificates and countries (in any
+/// order, repeats allowed) into the sorted columns. A known key widens
+/// its window; a new key is inserted at its place. `trusted` is the
+/// group's trust flag, which marks every certificate of the group.
+/// Shared by the reference linker and the incremental append so the two
+/// paths cannot drift.
+fn absorb_group(
+    d: &mut Deployment,
+    date: Day,
+    trusted: bool,
+    ips: impl IntoIterator<Item = Ipv4Addr>,
+    certs: impl IntoIterator<Item = CertId>,
+    countries: impl IntoIterator<Item = CountryCode>,
+) {
+    d.last = date;
+    if d.dates.last() != Some(&date) {
+        d.dates.push(date);
     }
-    d.ips.extend(g.ips.iter().copied());
-    d.certs.extend(g.certs.iter().copied());
-    d.countries.extend(g.countries.iter().copied());
-    if g.trusted {
-        d.trusted_certs.extend(g.certs.iter().copied());
+    for ip in ips {
+        if let Err(at) = d.ips.binary_search(&ip) {
+            d.ips.insert(at, ip);
+        }
     }
-    for c in &g.certs {
-        let w = d.cert_windows.entry(*c).or_insert((g.date, g.date));
-        w.0 = w.0.min(g.date);
-        w.1 = w.1.max(g.date);
+    for id in certs {
+        match d.certs.binary_search_by_key(&id, |s| s.id) {
+            Ok(at) => {
+                d.certs[at].last = date;
+                d.certs[at].trusted |= trusted;
+            }
+            Err(at) => d.certs.insert(at, CertSighting::on(id, date, trusted)),
+        }
     }
-    for cc in &g.countries {
-        let w = d.country_windows.entry(*cc).or_insert((g.date, g.date));
-        w.0 = w.0.min(g.date);
-        w.1 = w.1.max(g.date);
+    for cc in countries {
+        match d.countries.binary_search_by_key(&cc, |s| s.cc) {
+            Ok(at) => d.countries[at].last = date,
+            Err(at) => d.countries.insert(at, CountrySighting::on(cc, date)),
+        }
     }
 }
 
@@ -929,12 +951,9 @@ fn new_deployment(asn: Asn, first: Day) -> Deployment {
         first,
         last: first,
         dates: Vec::new(),
-        ips: BTreeSet::new(),
-        certs: BTreeSet::new(),
-        countries: BTreeSet::new(),
-        trusted_certs: BTreeSet::new(),
-        cert_windows: BTreeMap::new(),
-        country_windows: BTreeMap::new(),
+        ips: Vec::new(),
+        certs: Vec::new(),
+        countries: Vec::new(),
     }
 }
 
@@ -956,11 +975,13 @@ pub struct ShardStats {
 /// Per-shard bump-style scratch space for the sharded map build.
 ///
 /// Every intermediate column of the hot loop — kept-observation indices,
-/// `(asn, date, index)` grouping triples, the ip / cert / country columns
-/// of the deployment under construction — lives in these flat vectors.
-/// They are cleared (length reset, capacity retained) between buckets, so
-/// after the first few domains a shard builds maps with no intermediate
-/// allocation at all; memory is only allocated for the output containers.
+/// `(asn, date, index)` grouping triples, the ip / certificate / country
+/// sightings of the deployment under construction, and the bucket's
+/// finished deployments — lives in these flat vectors. They are cleared
+/// (length reset, capacity retained) between buckets, so after the first
+/// few domains a shard allocates nothing but the output: per map its
+/// domain name, `dates_present` and deployment vector, and per deployment
+/// one exact-size copy of each non-empty column (at most four).
 #[derive(Debug, Default)]
 pub struct ShardArena {
     /// Indices of routed, in-window observations of the current
@@ -971,58 +992,58 @@ pub struct ShardArena {
     /// Distinct scan dates of the bucket, in order (→ `dates_present`).
     map_dates: Vec<Day>,
     /// Address column of the deployment under construction.
-    ips: Vec<retrodns_types::Ipv4Addr>,
-    /// Certificate-fingerprint column (batched; deduplicated on finish).
-    certs: Vec<CertId>,
-    /// Country column.
-    countries: Vec<CountryCode>,
-    /// Certificates seen in a browser-trusted group.
-    trusted_certs: Vec<CertId>,
-    /// `(cert, date)` sightings (→ `cert_windows`).
-    cert_dates: Vec<(CertId, Day)>,
-    /// `(country, date)` sightings (→ `country_windows`).
-    cc_dates: Vec<(CountryCode, Day)>,
+    ips: Vec<Ipv4Addr>,
+    /// One-day certificate sightings, one per observation (folded per
+    /// certificate on finish).
+    certs: Vec<CertSighting>,
+    /// One-day country sightings, one per geolocated observation.
+    countries: Vec<CountrySighting>,
     /// Distinct scan dates of the deployment, in order.
     dates: Vec<Day>,
+    /// Finished deployments of the bucket being flushed.
+    deployments: Vec<Deployment>,
 }
 
 impl ShardArena {
-    /// Reset the per-deployment columns (capacity retained).
-    fn clear_deployment(&mut self) {
+    /// Sort the accumulated columns, fold each key's sightings into one
+    /// window, push the [`Deployment`] they describe — one exact-size
+    /// `to_vec` per column — and clear the columns (capacity retained)
+    /// for the next.
+    fn finish_deployment(&mut self, asn: Asn) {
+        self.ips.sort_unstable();
+        self.ips.dedup();
+        // Sorted by (key, date), a key's sightings are contiguous and
+        // ascending: the first keeps its `first`, the later ones widen it.
+        self.certs.sort_unstable_by_key(|s| (s.id, s.first));
+        self.certs.dedup_by(|later, s| {
+            let same = later.id == s.id;
+            if same {
+                s.last = later.last;
+                s.trusted |= later.trusted;
+            }
+            same
+        });
+        self.countries.sort_unstable_by_key(|s| (s.cc, s.first));
+        self.countries.dedup_by(|later, s| {
+            let same = later.cc == s.cc;
+            if same {
+                s.last = later.last;
+            }
+            same
+        });
+        self.deployments.push(Deployment {
+            asn,
+            first: self.dates[0],
+            last: self.dates[self.dates.len() - 1],
+            dates: self.dates.to_vec(),
+            ips: self.ips.to_vec(),
+            certs: self.certs.to_vec(),
+            countries: self.countries.to_vec(),
+        });
         self.ips.clear();
         self.certs.clear();
         self.countries.clear();
-        self.trusted_certs.clear();
-        self.cert_dates.clear();
-        self.cc_dates.clear();
         self.dates.clear();
-    }
-
-    /// Materialize the accumulated columns into a [`Deployment`]:
-    /// batch-deduplicate each column with one sort+dedup pass and
-    /// bulk-load the already-sorted results into the output sets — no
-    /// per-element tree inserts.
-    fn finish_deployment(&mut self, asn: Asn, first: Day, last: Day) -> Deployment {
-        self.ips.sort_unstable();
-        self.ips.dedup();
-        self.certs.sort_unstable();
-        self.certs.dedup();
-        self.countries.sort_unstable();
-        self.countries.dedup();
-        self.trusted_certs.sort_unstable();
-        self.trusted_certs.dedup();
-        Deployment {
-            asn,
-            first,
-            last,
-            dates: self.dates.clone(),
-            ips: self.ips.iter().copied().collect(),
-            certs: self.certs.iter().copied().collect(),
-            countries: self.countries.iter().copied().collect(),
-            trusted_certs: self.trusted_certs.iter().copied().collect(),
-            cert_windows: sighting_windows(&mut self.cert_dates),
-            country_windows: sighting_windows(&mut self.cc_dates),
-        }
     }
 
     /// Total bytes currently reserved by the arena's scratch vectors.
@@ -1036,28 +1057,9 @@ impl ShardArena {
             + bytes(&self.ips)
             + bytes(&self.certs)
             + bytes(&self.countries)
-            + bytes(&self.trusted_certs)
-            + bytes(&self.cert_dates)
-            + bytes(&self.cc_dates)
             + bytes(&self.dates)
+            + bytes(&self.deployments)
     }
-}
-
-/// Collapse `(key, date)` sightings into per-key first/last windows.
-/// Sorting groups each key's dates contiguously and ascending, so a run's
-/// endpoints are its window; the run-boundary keys arrive in sorted order
-/// and bulk-load into the `BTreeMap`.
-fn sighting_windows<K: Ord + Copy>(sightings: &mut Vec<(K, Day)>) -> BTreeMap<K, (Day, Day)> {
-    sightings.sort_unstable();
-    let mut out: Vec<(K, (Day, Day))> = Vec::new();
-    for &(key, date) in sightings.iter() {
-        match out.last_mut() {
-            Some((k, w)) if *k == key => w.1 = date,
-            _ => out.push((key, (date, date))),
-        }
-    }
-    sightings.clear();
-    out.into_iter().collect()
 }
 
 /// Precomputed period table for amortized-O(1) date→period lookup inside
@@ -1148,13 +1150,31 @@ fn domain_range_cuts<S: ObsSource>(src: &S, workers: usize) -> Vec<usize> {
     cuts
 }
 
-/// The HashMap/interner map builder, kept unchanged as the equivalence
-/// oracle the arena engine is tested against. No pipeline path calls it.
+/// The HashMap/interner map builder, kept as the equivalence oracle the
+/// arena engine is tested against. It buckets observations into
+/// BTree-set groups and meets the sorted-vector [`Deployment`] only when
+/// it links a group into a run. No pipeline path calls it.
 #[doc(hidden)]
 pub mod reference {
     use super::*;
     use retrodns_types::{DomainId, DomainInterner};
-    use std::collections::HashMap;
+    use std::collections::{BTreeMap, BTreeSet, HashMap};
+
+    /// Observable infrastructure of a domain in one ASN (the bucket key)
+    /// on one scan date.
+    #[derive(Debug, Clone, PartialEq, Eq)]
+    pub struct DeploymentGroup {
+        /// Scan date.
+        pub date: Day,
+        /// Addresses observed.
+        pub ips: BTreeSet<Ipv4Addr>,
+        /// Certificates returned.
+        pub certs: BTreeSet<CertId>,
+        /// Countries the addresses geolocate to.
+        pub countries: BTreeSet<CountryCode>,
+        /// Any browser-trusted certificate among them?
+        pub trusted: bool,
+    }
 
     impl MapBuilder {
         /// Build deployment maps for every (domain, period) with data.
@@ -1193,7 +1213,6 @@ pub mod reference {
                     .entry((obs.date, asn))
                     .or_insert_with(|| DeploymentGroup {
                         date: obs.date,
-                        asn,
                         ips: BTreeSet::new(),
                         certs: BTreeSet::new(),
                         countries: BTreeSet::new(),
@@ -1237,21 +1256,19 @@ pub mod reference {
             for (asn, groups) in by_asn {
                 let mut current: Option<Deployment> = None;
                 for g in groups {
-                    match current.as_mut() {
-                        Some(d) if g.date - d.last <= max_gap_days => absorb_group(d, &g),
-                        _ => {
-                            if let Some(done) = current.take() {
-                                deployments.push(done);
-                            }
-                            let mut d = new_deployment(asn, g.date);
-                            absorb_group(&mut d, &g);
-                            current = Some(d);
-                        }
+                    if !matches!(&current, Some(d) if g.date - d.last <= max_gap_days) {
+                        deployments.extend(current.replace(new_deployment(asn, g.date)));
                     }
+                    absorb_group(
+                        current.as_mut().expect("a run is open"),
+                        g.date,
+                        g.trusted,
+                        g.ips,
+                        g.certs,
+                        g.countries,
+                    );
                 }
-                if let Some(done) = current.take() {
-                    deployments.push(done);
-                }
+                deployments.extend(current);
             }
             deployments.sort_by_key(|d| (d.first, d.asn));
             let expected_scans = self.window.scan_dates_in(&period).len();
@@ -1289,13 +1306,27 @@ mod tests {
     /// Maps built by the engine at one worker, checked against the
     /// reference builder.
     fn maps(observations: &[DomainObservation]) -> Vec<DeploymentMap> {
-        let b = builder();
+        maps_by(&builder(), observations)
+    }
+
+    /// Maps built by `b`'s engine at one worker, checked against its
+    /// reference builder and against `append_scan` fed one scan date at
+    /// a time.
+    fn maps_by(b: &MapBuilder, observations: &[DomainObservation]) -> Vec<DeploymentMap> {
         let (maps, _) = b.build_sharded_stats(observations, 1);
         assert_eq!(
             maps,
             b.build(observations),
             "engine diverged from reference"
         );
+        let mut by_date = observations.to_vec();
+        by_date.sort_by_key(|o| o.date);
+        let mut streamed: Vec<DeploymentMap> = Vec::new();
+        for scan in by_date.chunk_by(|a, b| a.date == b.date) {
+            let out = b.append_scan(&mut streamed, scan);
+            assert!(out.dirty().iter().all(|&i| i < streamed.len()));
+        }
+        assert_eq!(streamed, maps, "incremental append must equal rebuild");
         maps
     }
 
@@ -1313,23 +1344,28 @@ mod tests {
         assert_eq!(m.deployments[0].last, Day(133));
     }
 
+    /// The `link_gap` rule at day granularity: after a weekly run, a
+    /// same-ASN silence of up to `(link_gap_scans + 1) * scan_interval_days`
+    /// days links, one day more splits, whether the maps come from the
+    /// engine, the reference linker or a scan-by-scan append.
     #[test]
     fn small_gap_links_big_gap_splits() {
-        // Scans at weeks 0,1,2, then missing 3,4 (gap 2 → links), then 5.
-        let mut observations: Vec<_> = [0u32, 1, 2, 5]
-            .iter()
-            .map(|i| obs("a.com", i * 7, 1, 100, "GR", 1))
-            .collect();
-        let built = maps(&observations);
-        assert_eq!(built[0].deployments.len(), 1);
-
-        // Missing 3,4,5 (gap 3 → splits).
-        observations = [0u32, 1, 2, 6]
-            .iter()
-            .map(|i| obs("a.com", i * 7, 1, 100, "GR", 1))
-            .collect();
-        let built = maps(&observations);
-        assert_eq!(built[0].deployments.len(), 2);
+        for gap_scans in [0u32, 1, 2] {
+            let mut b = builder();
+            b.link_gap_scans = gap_scans;
+            let max_gap = (gap_scans + 1) * b.window.scan_interval_days;
+            for (gap, runs) in [(max_gap - 1, 1), (max_gap, 1), (max_gap + 1, 2)] {
+                let observations: Vec<_> = [0, 7, 14, 14 + gap]
+                    .iter()
+                    .map(|&day| obs("a.com", day, 1, 100, "GR", 1))
+                    .collect();
+                assert_eq!(
+                    maps_by(&b, &observations)[0].deployments.len(),
+                    runs,
+                    "link_gap_scans {gap_scans}, a {gap}-day gap"
+                );
+            }
+        }
     }
 
     #[test]
@@ -1344,7 +1380,7 @@ mod tests {
         let transient = m.deployments.iter().find(|d| d.asn == Asn(200)).unwrap();
         assert_eq!(transient.scan_count(), 1);
         assert_eq!(transient.span_days(), 1);
-        assert!(transient.certs.contains(&CertId(666)));
+        assert!(transient.cert_ids().eq([CertId(666)]));
     }
 
     #[test]
@@ -1391,21 +1427,8 @@ mod tests {
         let mut unrouted = obs("a.com", 35, 5, 0, "GR", 9);
         unrouted.asn = None;
         all.push(unrouted);
-
-        let b = builder();
-        let batch = maps(&all);
-        let mut streamed: Vec<DeploymentMap> = Vec::new();
-        let mut dates: Vec<Day> = all.iter().map(|o| o.date).collect();
-        dates.sort_unstable();
-        dates.dedup();
-        for date in dates {
-            let week: Vec<_> = all.iter().filter(|o| o.date == date).cloned().collect();
-            let out = b.append_scan(&mut streamed, &week);
-            for &i in out.updated.iter().chain(&out.inserted) {
-                assert!(i < streamed.len());
-            }
-        }
-        assert_eq!(streamed, batch, "incremental append must equal rebuild");
+        // `maps` streams the scans through `append_scan` and compares.
+        maps(&all);
     }
 
     #[test]
@@ -1458,7 +1481,7 @@ mod tests {
         o.trusted = false;
         let built = maps(&[o]);
         let d = &built[0].deployments[0];
-        assert!(d.certs.contains(&CertId(7)));
+        assert!(d.cert_ids().eq([CertId(7)]));
         assert!(!d.has_trusted_cert());
     }
 

@@ -39,8 +39,8 @@ pub fn render_map(map: &DeploymentMap, pattern: Option<&Pattern>) -> String {
                 .any(|date| *date >= *slot && *date < *slot + interval);
             lane.push(if hit { '#' } else { '.' });
         }
-        let countries: Vec<String> = d.countries.iter().map(|c| c.to_string()).collect();
-        let certs: Vec<String> = d.certs.iter().map(|c| c.0.to_string()).collect();
+        let countries: Vec<String> = d.country_codes().map(|c| c.to_string()).collect();
+        let certs: Vec<String> = d.cert_ids().map(|c| c.0.to_string()).collect();
         let _ = writeln!(
             out,
             "  d{i} |{lane}| {}  [{}]  certs[{}]  {} scans, {} days",

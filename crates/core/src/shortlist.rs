@@ -309,10 +309,10 @@ pub fn shortlist_guarded(
                 let suspicious_recurrence = cfg.recurrence_signal
                     && findings.iter().any(|f| {
                         let d = &m.deployments[f.deployment];
-                        d.trusted_certs.iter().any(|id| {
-                            !background.certs.contains(id)
+                        d.trusted_cert_ids().any(|id| {
+                            !background.certs.contains(&id)
                                 && certs
-                                    .get(id)
+                                    .get(&id)
                                     .map(|c| !c.sensitive_names().is_empty())
                                     .unwrap_or(false)
                         })
@@ -365,10 +365,8 @@ pub fn shortlist_guarded(
             let mut geo_implausible = false;
             if degraded_sources.is_empty() && !cfg.disable_geo_check {
                 let shared: Vec<CountryCode> = transient
-                    .countries
-                    .iter()
-                    .filter(|cc| background.countries.contains(*cc))
-                    .copied()
+                    .country_codes()
+                    .filter(|cc| background.countries.contains(cc))
                     .collect();
                 if !shared.is_empty() {
                     if cfg.geo_implausibility_check {
@@ -404,9 +402,8 @@ pub fn shortlist_guarded(
 
             // Sensitive trusted certificate, or truly anomalous.
             let sensitive_names: Vec<DomainName> = transient
-                .trusted_certs
-                .iter()
-                .filter_map(|id| certs.get(id))
+                .trusted_cert_ids()
+                .filter_map(|id| certs.get(&id))
                 .flat_map(|c| c.sensitive_names().into_iter().cloned())
                 .collect();
             let sensitive_ok = !sensitive_names.is_empty();

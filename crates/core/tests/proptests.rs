@@ -6,7 +6,7 @@ use proptest::prelude::*;
 use retrodns_cert::CertId;
 use retrodns_core::checkpoint::CheckpointStore;
 use retrodns_core::classify::{classify, ClassifyConfig};
-use retrodns_core::map::MapBuilder;
+use retrodns_core::map::{DeploymentMap, MapBuilder};
 use retrodns_scan::DomainObservation;
 use retrodns_store::ObservationStore;
 use retrodns_types::{Asn, Day, DomainName, Ipv4Addr, StudyWindow};
@@ -36,6 +36,66 @@ fn arb_observation() -> impl Strategy<Value = DomainObservation> {
         })
 }
 
+/// The column invariants of every deployment in `maps`, checked against
+/// the `observations` they were built from:
+/// - `ips`, certificate sightings and country sightings are strictly
+///   ascending by key;
+/// - every sighting window lies inside `[first, last]`, and both of its
+///   endpoints are scan dates of the deployment;
+/// - a certificate is trusted exactly when one of its groups had a
+///   trusted endpoint, and `has_trusted_cert()` exactly when some
+///   sighting is.
+fn check_columns(maps: &[DeploymentMap], observations: &[DomainObservation]) -> Result<(), String> {
+    for m in maps {
+        for d in &m.deployments {
+            prop_assert!(d.ips.windows(2).all(|w| w[0] < w[1]), "ips not ascending");
+            prop_assert!(
+                d.certs.windows(2).all(|w| w[0].id < w[1].id),
+                "certs not ascending"
+            );
+            prop_assert!(
+                d.countries.windows(2).all(|w| w[0].cc < w[1].cc),
+                "countries not ascending"
+            );
+            let windows = d
+                .certs
+                .iter()
+                .map(|s| (s.first, s.last))
+                .chain(d.countries.iter().map(|s| (s.first, s.last)));
+            for (first, last) in windows {
+                prop_assert!(d.first <= first && first <= last && last <= d.last);
+                prop_assert!(
+                    d.dates.binary_search(&first).is_ok(),
+                    "window opens off a scan"
+                );
+                prop_assert!(
+                    d.dates.binary_search(&last).is_ok(),
+                    "window closes off a scan"
+                );
+            }
+            // The deployment's groups: its domain's rows in its ASN on
+            // its scan dates.
+            let rows: Vec<&DomainObservation> = observations
+                .iter()
+                .filter(|o| {
+                    o.domain == m.domain
+                        && o.asn == Some(d.asn)
+                        && d.dates.binary_search(&o.date).is_ok()
+                })
+                .collect();
+            for s in &d.certs {
+                let trusted = rows
+                    .iter()
+                    .any(|o| o.trusted && rows.iter().any(|p| p.date == o.date && p.cert == s.id));
+                prop_assert_eq!(s.trusted, trusted, "trust of cert {:?}", s.id);
+            }
+            prop_assert_eq!(d.has_trusted_cert(), d.certs.iter().any(|s| s.trusted));
+            prop_assert_eq!(d.has_trusted_cert(), rows.iter().any(|o| o.trusted));
+        }
+    }
+    Ok(())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
 
@@ -62,8 +122,8 @@ proptest! {
                     prop_assert!(m.period.contains(*date));
                 }
                 // Cert windows nest inside the deployment span.
-                for (first, last) in d.cert_windows.values() {
-                    prop_assert!(*first >= d.first && *last <= d.last);
+                for s in &d.certs {
+                    prop_assert!(s.first >= d.first && s.last <= d.last);
                 }
                 per_asn.entry(d.asn).or_default().push((d.first, d.last));
             }
@@ -89,7 +149,7 @@ proptest! {
                 m.domain == o.domain
                     && m.period.contains(o.date)
                     && m.deployments.iter().any(|d| {
-                        d.asn == asn && d.dates.contains(&o.date) && d.ips.contains(&o.ip)
+                        d.asn == asn && d.dates.contains(&o.date) && d.has_ip(o.ip)
                     })
             });
             prop_assert!(covered, "lost observation {o:?}");
@@ -215,6 +275,29 @@ proptest! {
             workers,
             as_store
         );
+    }
+
+    /// The engine's sorted columns hold the invariants the BTree sets
+    /// once held by construction, whether the maps come from the sharded
+    /// build at any worker count or from a week-by-week `append_scan`.
+    #[test]
+    fn engine_columns_stay_sorted_and_consistent(
+        observations in prop::collection::vec(arb_observation(), 0..200),
+        workers in 1usize..=4,
+    ) {
+        let mut builder = MapBuilder::new(StudyWindow::default());
+        builder.min_obs_per_worker = 0;
+        let (built, _) = builder.build_sharded_stats(&observations, workers);
+        check_columns(&built, &observations)?;
+
+        let mut by_date = observations.clone();
+        by_date.sort_by_key(|o| o.date);
+        let mut streamed = Vec::new();
+        for scan in by_date.chunk_by(|a, b| a.date == b.date) {
+            builder.append_scan(&mut streamed, scan);
+        }
+        check_columns(&streamed, &observations)?;
+        prop_assert_eq!(streamed, built);
     }
 
     /// A domain name never appears in a map it does not own.
