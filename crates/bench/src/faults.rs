@@ -21,23 +21,28 @@
 //! funnel's quarantine histogram.
 //!
 //! Store-corruption rows (`store:truncated-chunk`, `store:bitflip-chunk`)
-//! damage the *columnar checkpoint bytes* instead of the data: one chunk
-//! payload gets a torn (zeroed-tail) write or a flipped bit, recovery
-//! goes through [`StoreReader::decode_lossy`], and survival additionally
-//! requires the corruption to be *detected* — the chunk quarantined by
-//! content hash, its rows counted as `injected` losses, and the pipeline
-//! run only over the rows that verified.
+//! damage the *stream checkpoint* instead of the data: an
+//! [`IncrementalAnalyzer`] checkpoints the seed's world into a temporary
+//! directory, and chunk 0's part file then gets a torn (zeroed-tail)
+//! write or a flipped bit on disk. Survival additionally requires the
+//! damage to be *detected* the way the product meets it —
+//! [`CheckpointStore::load`] refuses the log (`InvalidReason::BadLog`) and
+//! [`IncrementalAnalyzer::resume`] declines — and the cell is scored on
+//! the clean recompute that follows, with the damaged chunk's rows
+//! counted as `injected`.
 
 use retrodns_cert::CrtShIndex;
+use retrodns_core::checkpoint::{config_fingerprint, InvalidReason};
 use retrodns_core::metrics::MetricsRegistry;
 use retrodns_core::pipeline::{AnalystInputs, Pipeline, PipelineConfig};
+use retrodns_core::{CheckpointStore, IncrementalAnalyzer};
 use retrodns_dns::PassiveDns;
 use retrodns_sim::{
     FaultEffects, FaultKind, FaultPlan, SimConfig, SourceFaultKind, SourceFaultPlan, World,
 };
-use retrodns_store::{ObservationStore, StoreReader};
 use retrodns_types::SourceFaults;
 use serde::{Deserialize, Serialize};
+use serde_json::Value;
 use std::collections::BTreeMap;
 
 /// One (seed, fault) cell of the survival matrix.
@@ -135,6 +140,15 @@ struct CellInputs<'a> {
     source_faults: Option<&'a dyn SourceFaults>,
 }
 
+/// The pipeline configuration every cell over `world` runs with.
+fn cell_config(world: &World, workers: usize) -> PipelineConfig {
+    PipelineConfig {
+        window: world.config.window.clone(),
+        workers,
+        ..PipelineConfig::default()
+    }
+}
+
 fn run_cell(
     world: &World,
     seed: u64,
@@ -143,11 +157,7 @@ fn run_cell(
     cell: CellInputs<'_>,
     workers: usize,
 ) -> FaultCell {
-    let pipeline = Pipeline::new(PipelineConfig {
-        window: world.config.window.clone(),
-        workers,
-        ..PipelineConfig::default()
-    });
+    let pipeline = Pipeline::new(cell_config(world, workers));
     // Fault-plan applications are a metrics source like any other stage:
     // the per-kind damage counts land under `faults.*` next to the
     // pipeline's own counters, so one snapshot holds both the injected
@@ -226,8 +236,8 @@ fn run_cell(
 /// outage row; its reconciliation is checked on every cell instead.
 pub const OUTAGE_SOURCES: [&str; 3] = ["pdns", "ct", "as2org"];
 
-/// The store-corruption rows swept per seed: a torn (zeroed-tail) chunk
-/// write and a single flipped payload bit.
+/// The store-corruption rows swept per seed: a torn (zeroed-tail) write
+/// of a checkpoint chunk part and a single flipped bit in it.
 pub const STORE_FAULTS: [&str; 2] = ["store:truncated-chunk", "store:bitflip-chunk"];
 
 /// Sweep `seeds` × every [`FaultKind`], every
@@ -299,53 +309,68 @@ pub fn run_fault_campaign(seeds: &[u64], workers: usize) -> FaultMatrix {
                 cells.push(cell);
             }
         }
-        // Store corruption: the columnar checkpoint bytes are damaged —
-        // a torn (zeroed-tail) chunk write and a single flipped bit —
-        // and lossy recovery must detect it, quarantine the chunk by
-        // content hash, and hand the pipeline only rows that verified.
-        let store =
-            ObservationStore::from_observations(&observations).expect("observations fit the store");
-        let encoded = store.encode();
-        let (payload_start, payload_len) = {
-            let reader = StoreReader::open(&encoded).expect("pristine store opens");
-            let chunk = reader.chunk(0);
-            (
-                chunk.bytes.as_ptr() as usize - encoded.as_ptr() as usize,
-                chunk.bytes.len(),
-            )
-        };
+        // Store corruption: a stream checkpoint of the seed's world (its
+        // observations ingested as one batch) is damaged on disk — a torn
+        // (zeroed-tail) write of chunk 0's part and a single flipped bit
+        // in it. The load must refuse the log and resume must decline, so
+        // the stream recomputes from scratch; the cell scores that clean
+        // recompute, whose report is the batch run's.
+        let config = cell_config(&world, workers);
+        let dir =
+            std::env::temp_dir().join(format!("retrodns-faults-{}-{seed}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let store = CheckpointStore::open(&dir).expect("checkpoint dir opens");
+        let mut analyzer = IncrementalAnalyzer::new(config.clone());
+        analyzer.ingest_week(
+            &observations,
+            &AnalystInputs {
+                observations: &observations,
+                asdb: &world.geo.asdb,
+                certs: &world.certs,
+                pdns: &world.pdns,
+                crtsh: &world.crtsh,
+                dnssec: Some(&world.dnssec),
+                source_faults: None,
+            },
+        );
+        analyzer.checkpoint(&store).expect("checkpoint writes");
+        let fingerprint = config_fingerprint(&config);
+        let (log, _) = store
+            .load::<Value>(fingerprint)
+            .expect("pristine checkpoint loads");
+        let manifest = log.manifest();
+        // Part 0 is the dictionary, part 1 is chunk 0.
+        let chunk_path = store.part_paths(&manifest).swap_remove(1);
+        let pristine = std::fs::read(&chunk_path).expect("chunk 0 part reads");
+        let injected = manifest.chunk_rows_each[0] as usize;
         for label in STORE_FAULTS {
-            let mut bytes = encoded.clone();
+            let mut bytes = pristine.clone();
+            let mid = bytes.len() / 2;
             match label {
-                "store:truncated-chunk" => {
-                    bytes[payload_start + payload_len / 2..payload_start + payload_len].fill(0)
-                }
-                _ => bytes[payload_start + payload_len / 2] ^= 0x10,
+                "store:truncated-chunk" => bytes[mid..].fill(0),
+                _ => bytes[mid] ^= 0x10,
             }
-            let lossy = StoreReader::open(&bytes)
-                .expect("chunk-payload damage leaves the frame parseable")
-                .decode_lossy()
-                .expect("dictionary is intact");
-            let detected = !lossy.bad_chunks.is_empty()
-                && lossy.lost_rows > 0
-                && lossy.store.len() + lossy.lost_rows == observations.len();
+            std::fs::write(&chunk_path, &bytes).expect("damaged part writes");
+            let detected = store.load::<Value>(fingerprint).err() == Some(InvalidReason::BadLog)
+                && IncrementalAnalyzer::resume(config.clone(), &store).is_none();
             let mut cell = run_cell(
                 &world,
                 seed,
                 label,
                 FaultEffects::default(),
                 CellInputs {
-                    observations: &lossy.store,
+                    observations: &observations,
                     pdns: &world.pdns,
                     crtsh: &world.crtsh,
                     source_faults: None,
                 },
                 workers,
             );
-            cell.injected = lossy.lost_rows;
+            cell.injected = injected;
             cell.survived = cell.survived && detected;
             cells.push(cell);
         }
+        let _ = std::fs::remove_dir_all(&dir);
         // Corroboration-stripped: no pDNS, no CT. Conservativeness demands
         // zero hijack verdicts here, not merely zero fabrications.
         let empty_pdns = PassiveDns::new();

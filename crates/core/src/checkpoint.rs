@@ -114,6 +114,16 @@ impl CheckpointStore {
         self.dir.join("observations")
     }
 
+    /// The part files a checkpoint of a log with `manifest` consists of:
+    /// the dictionary first, then every chunk in order.
+    pub fn part_paths(&self, manifest: &StoreManifest) -> Vec<PathBuf> {
+        let dir = self.observations_dir();
+        part_names(manifest)
+            .into_iter()
+            .map(|name| dir.join(name))
+            .collect()
+    }
+
     /// Remove the checkpoint — `checkpoint.json` and the observation
     /// parts — so nothing from an earlier run can be resumed (fresh-run
     /// semantics). Other files in the directory are left alone.
@@ -199,10 +209,10 @@ impl CheckpointStore {
         if commit.config_hash != config_hash {
             return Err(InvalidReason::ConfigChanged);
         }
-        let dir = self.observations_dir();
-        let mut parts = part_names(&commit.manifest)
+        let mut parts = self
+            .part_paths(&commit.manifest)
             .into_iter()
-            .map(|name| std::fs::read(dir.join(name)).map_err(|_| InvalidReason::BadLog));
+            .map(|path| std::fs::read(path).map_err(|_| InvalidReason::BadLog));
         let dict = parts.next().ok_or(InvalidReason::BadLog)??;
         let chunks: Vec<Vec<u8>> = parts.collect::<Result<_, _>>()?;
         let log = ObservationStore::from_parts(&commit.manifest, &dict, &chunks)
@@ -379,6 +389,34 @@ mod tests {
         bytes[mid] ^= 0x10;
         std::fs::write(&path, &bytes).unwrap();
         assert_eq!(s.load::<u32>(1).unwrap_err(), InvalidReason::BadLog);
+        let _ = std::fs::remove_dir_all(s.dir());
+    }
+
+    /// `save` trusts a part already on disk by its name, so re-saving the
+    /// same log keeps a damaged part. A save that does not list the part
+    /// sweeps it — what a stream restarted from its first week does — and
+    /// the next save of the full log writes it afresh.
+    #[test]
+    fn a_damaged_part_is_swept_by_a_save_that_does_not_list_it() {
+        let s = store();
+        let full = log(2 * retrodns_store::CHUNK_ROWS + 100);
+        s.save(1, &full, &0u32).unwrap();
+        // Part 0 is the dictionary, part 2 is chunk 1.
+        let damaged = s.part_paths(&full.manifest()).swap_remove(2);
+        let mut bytes = std::fs::read(&damaged).unwrap();
+        let mid = bytes.len() / 2;
+        bytes[mid] ^= 0x10;
+        std::fs::write(&damaged, &bytes).unwrap();
+        assert_eq!(s.load::<u32>(1).unwrap_err(), InvalidReason::BadLog);
+        assert_eq!(s.save(1, &full, &1u32).unwrap(), 0);
+        assert_eq!(s.load::<u32>(1).unwrap_err(), InvalidReason::BadLog);
+
+        let week = log(1024);
+        s.save(1, &week, &2u32).unwrap();
+        assert!(!damaged.exists(), "the damaged part survived the sweep");
+        assert_eq!(files(&s), live(&week));
+        s.save(1, &full, &3u32).unwrap();
+        assert_eq!(s.load::<u32>(1).unwrap(), (full, 3));
         let _ = std::fs::remove_dir_all(s.dir());
     }
 

@@ -58,7 +58,6 @@ use crate::classify::Pattern;
 use crate::inspect::{DegradedVerdict, DetectedHijack, DetectedTarget};
 use crate::map::{sorted_selection, ColSource, DeploymentMap};
 use crate::metrics::MetricsRegistry;
-use crate::observability::PipelineTimings;
 use crate::pipeline::{quarantine, AnalystInputs, FunnelStats, Pipeline, PipelineConfig, Report};
 use retrodns_scan::DomainObservation;
 use retrodns_store::{DictCodes, ObservationStore, StoreBuilder};
@@ -368,7 +367,6 @@ impl IncrementalAnalyzer {
             self.quarantined.clone(),
             inputs,
             metrics,
-            &mut PipelineTimings::default(),
         );
 
         let delta = WeekDelta::between(self.weeks, date, &self.report, &report);
@@ -416,12 +414,10 @@ impl IncrementalAnalyzer {
         let mut analyzer = IncrementalAnalyzer::new(config);
         let src = ColSource(log.columns());
         let by_name = sorted_selection(&src, None);
-        let (maps, patterns) = analyzer.pipeline.build_and_classify(
-            &src,
-            Some(&by_name),
-            &mut MetricsRegistry::new(),
-            &mut PipelineTimings::default(),
-        );
+        let (maps, patterns) =
+            analyzer
+                .pipeline
+                .build_and_classify(&src, Some(&by_name), &mut MetricsRegistry::new());
         analyzer.patterns = patterns;
         analyzer.maps = maps;
         analyzer.quarantined = state.quarantined;

@@ -1009,6 +1009,33 @@ mod tests {
         // Only the sparse rogue delegation counts as evidence — the dense
         // legitimate aggregate fails the sparsity filter.
         assert_eq!(h.attacker_ns, vec![d("ns1.kg-infocom.ru")]);
+
+        // The density threshold itself (0.05 sightings/day): over
+        // Day(20)..=Day(159), 140 days, 7 sightings are sparse enough to
+        // be evidence and 8 are not.
+        for (count, evidence) in [(7, true), (8, false)] {
+            let mut pdns = PassiveDns::new();
+            pdns.insert_aggregate(
+                &d("mfa.gov.kg"),
+                RecordData::Ns(d("ns1.kg-infocom.ru")),
+                Day(20),
+                Day(159),
+                count,
+            );
+            let out = inspect_candidate(
+                &cand,
+                &pdns,
+                &crtsh,
+                &certs,
+                None,
+                &InspectConfig::default(),
+            );
+            assert_eq!(
+                matches!(out, InspectOutcome::Hijacked(_)),
+                evidence,
+                "{count} sightings over 140 days: {out:?}"
+            );
+        }
     }
 
     #[test]

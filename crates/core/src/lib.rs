@@ -50,7 +50,6 @@ pub use inspect::{DegradedVerdict, DetectedHijack, DetectedTarget, DetectionType
 pub use lock::{DirLock, LockError};
 pub use map::{CertSighting, CountrySighting, Deployment, DeploymentMap, MapBuilder};
 pub use metrics::{CountingAlloc, MetricsRegistry, MetricsShard, MetricsSnapshot};
-pub use observability::{PipelineTimings, StageTiming};
 pub use pipeline::{AnalystInputs, InspectionResults, Pipeline, PipelineConfig, Report};
 pub use score::{score_detection, Score};
 pub use sources::{ResilientSource, Source, SourceGuard, SourcePolicy};

@@ -2,9 +2,8 @@
 //!
 //! Operating the pipeline at production scale — checkpointed, resumed,
 //! fault-injected, sharded across workers — needs more observability
-//! than the five wall-clock numbers in
-//! [`PipelineTimings`](crate::observability::PipelineTimings). This
-//! module is the registry every side-channel count funnels into:
+//! than a wall clock. This module is the registry every side-channel
+//! count and every stage timing funnels into:
 //!
 //! * **Counters** — monotone event counts (quarantine reasons, prune
 //!   reasons, checkpoint loads/saves/invalidations, hijack verdicts).

@@ -10,108 +10,33 @@
 //! * daily zone files almost never catch the delegation flip.
 //!
 //! The module also hosts the *operational* observability of the pipeline
-//! itself: [`StageTiming`] / [`PipelineTimings`] record per-stage
-//! wall time and throughput so `Pipeline::run` can report where a run
-//! spent its time (and how much the `workers` knob bought).
+//! itself: [`span_summary`] tabulates the wall time the metrics
+//! registry's `pipeline.run` and `stage.*` spans recorded, so `analyze`
+//! can report where a run spent its time.
 
 use crate::inspect::DetectedHijack;
+use crate::metrics::SpanRecord;
 use retrodns_dns::{PassiveDns, RecordType, ZoneSnapshotArchive};
 use retrodns_scan::ScanDataset;
 use serde::{Deserialize, Serialize};
 use std::fmt::Write as _;
-use std::time::Duration;
 
-/// Wall time and item count of one pipeline stage.
-#[derive(Debug, Clone, Copy, Default, Serialize, Deserialize)]
-pub struct StageTiming {
-    /// Wall-clock milliseconds spent in the stage.
-    pub wall_ms: f64,
-    /// Items the stage processed (stage-specific unit: observations for
-    /// map building, maps for classification, candidates for inspection,
-    /// hijacks for pivoting).
-    pub items: usize,
-}
-
-impl StageTiming {
-    /// Record an elapsed duration over `items` items.
-    pub fn from_elapsed(elapsed: Duration, items: usize) -> StageTiming {
-        StageTiming {
-            wall_ms: elapsed.as_secs_f64() * 1e3,
-            items,
+/// The stage-timings table `analyze` prints: wall time summed per span
+/// name, one line per name in first-open order. A stream opens the same
+/// stage spans every week, so its lines are totals over all weeks.
+pub fn span_summary(spans: &[SpanRecord]) -> String {
+    let mut totals: Vec<(&str, f64)> = Vec::new();
+    for s in spans {
+        match totals.iter_mut().find(|(name, _)| *name == s.name) {
+            Some((_, ms)) => *ms += s.wall_ms,
+            None => totals.push((&s.name, s.wall_ms)),
         }
     }
-
-    /// Items per second (0 when no meaningful time was observed).
-    ///
-    /// Stages over tiny inputs can finish in well under a millisecond;
-    /// dividing by a near-zero (or zero) wall time would report absurd
-    /// or non-finite throughput. Below one microsecond of wall time the
-    /// rate is reported as 0 instead, and any non-finite result of the
-    /// division is clamped to 0 as a belt-and-braces guard.
-    pub fn throughput_per_sec(&self) -> f64 {
-        if self.wall_ms >= 1e-3 {
-            let rate = self.items as f64 / (self.wall_ms / 1e3);
-            if rate.is_finite() {
-                rate
-            } else {
-                0.0
-            }
-        } else {
-            // Covers zero, sub-microsecond, negative, and NaN wall times.
-            0.0
-        }
+    let mut out = String::new();
+    for (name, ms) in totals {
+        let _ = writeln!(out, "{name:<16} {ms:>9.2} ms");
     }
-}
-
-/// Per-stage timing breakdown of one `Pipeline::run`.
-///
-/// Excluded from report serialization (`#[serde(skip)]` on the `Report`
-/// field) so report JSON stays byte-identical across worker counts and
-/// machines; consumers read it off the in-memory `Report`.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
-pub struct PipelineTimings {
-    /// Stage 1: deployment-map building over scan observations.
-    pub map_build: StageTiming,
-    /// Stage 2: pattern classification over maps.
-    pub classify: StageTiming,
-    /// Stage 3: shortlist heuristics over classified maps.
-    pub shortlist: StageTiming,
-    /// Stage 4: candidate inspection (pDNS/CT corroboration).
-    pub inspect: StageTiming,
-    /// Stage 5: pivot expansion over confirmed hijacks.
-    pub pivot: StageTiming,
-    /// End-to-end wall milliseconds, including funnel accounting, the T1*
-    /// pass and dedup (≥ the sum of the stages).
-    pub total_ms: f64,
-}
-
-impl PipelineTimings {
-    /// The five stages in pipeline order, with display labels.
-    pub fn stages(&self) -> [(&'static str, StageTiming); 5] {
-        [
-            ("map_build", self.map_build),
-            ("classify", self.classify),
-            ("shortlist", self.shortlist),
-            ("inspect", self.inspect),
-            ("pivot", self.pivot),
-        ]
-    }
-
-    /// Multi-line human-readable breakdown.
-    pub fn summary(&self) -> String {
-        let mut out = String::new();
-        for (name, t) in self.stages() {
-            let _ = writeln!(
-                out,
-                "{name:<10} {:>9.2} ms  {:>8} items  {:>12.0} items/s",
-                t.wall_ms,
-                t.items,
-                t.throughput_per_sec()
-            );
-        }
-        let _ = writeln!(out, "{:<10} {:>9.2} ms", "total", self.total_ms);
-        out
-    }
+    out
 }
 
 /// The §5.3 statistics over a set of detected hijacks.
@@ -371,67 +296,29 @@ mod tests {
     }
 
     #[test]
-    fn stage_timing_throughput() {
-        let t = StageTiming::from_elapsed(std::time::Duration::from_millis(500), 1000);
-        assert!((t.wall_ms - 500.0).abs() < 1e-6);
-        assert!((t.throughput_per_sec() - 2000.0).abs() < 1e-6);
-        assert_eq!(StageTiming::default().throughput_per_sec(), 0.0);
-    }
-
-    /// Regression: a stage finishing in under a microsecond used to
-    /// divide by a near-zero wall time and report absurd (potentially
-    /// non-finite) throughput. Sub-microsecond timings now report 0 and
-    /// the result is always finite.
-    #[test]
-    fn sub_millisecond_timing_reports_finite_throughput() {
-        let nano = StageTiming::from_elapsed(std::time::Duration::from_nanos(1), 1_000_000);
-        assert_eq!(nano.throughput_per_sec(), 0.0);
-
-        let zero = StageTiming {
-            wall_ms: 0.0,
-            items: 42,
-        };
-        assert_eq!(zero.throughput_per_sec(), 0.0);
-
-        let nan = StageTiming {
-            wall_ms: f64::NAN,
-            items: 42,
-        };
-        assert_eq!(nan.throughput_per_sec(), 0.0);
-
-        // One microsecond is the floor: still finite, never inf/NaN.
-        let micro = StageTiming {
-            wall_ms: 1e-3,
-            items: 7,
-        };
-        assert!(micro.throughput_per_sec().is_finite());
-        assert!((micro.throughput_per_sec() - 7_000_000.0).abs() < 1e-3);
-        let summary_user = PipelineTimings {
-            inspect: nano,
-            ..PipelineTimings::default()
-        };
-        assert!(!summary_user.summary().contains("inf"));
-        assert!(!summary_user.summary().contains("NaN"));
-    }
-
-    #[test]
     fn timings_summary_lists_all_stages() {
-        let t = PipelineTimings {
-            map_build: StageTiming::from_elapsed(std::time::Duration::from_millis(12), 34),
-            total_ms: 15.0,
-            ..PipelineTimings::default()
+        let span = |name: &str, wall_ms: f64| SpanRecord {
+            name: name.to_string(),
+            depth: 0,
+            start_ms: 0.0,
+            wall_ms,
         };
-        let s = t.summary();
-        for stage in [
-            "map_build",
-            "classify",
-            "shortlist",
-            "inspect",
-            "pivot",
-            "total",
-        ] {
-            assert!(s.contains(stage), "summary missing {stage}: {s}");
-        }
+        let s = span_summary(&[
+            span("pipeline.run", 9.0),
+            span("stage.shortlist", 1.5),
+            span("stage.inspect", 2.0),
+            span("stage.shortlist", 0.25),
+        ]);
+        let lines: Vec<&str> = s.lines().collect();
+        assert_eq!(
+            lines,
+            [
+                "pipeline.run          9.00 ms",
+                "stage.shortlist       1.75 ms",
+                "stage.inspect         2.00 ms",
+            ]
+        );
+        assert_eq!(span_summary(&[]), "");
     }
 
     /// Regression: a certificate whose recorded issuance *postdates* its

@@ -24,7 +24,6 @@ use crate::map::{
     ColSource, DeploymentMap, MapBuilder, ObsSource, RowSource, DEFAULT_MIN_OBS_PER_WORKER,
 };
 use crate::metrics::{self, MetricsRegistry, MetricsShard};
-use crate::observability::{PipelineTimings, StageTiming};
 use crate::pivot::{pivot_guarded, PivotConfig};
 use crate::shortlist::{shortlist_guarded, Candidate, ShortlistConfig};
 use crate::sources::{query_key, ResilientSource, SourceGuard, SourcePolicy, SRC_GEO};
@@ -169,11 +168,6 @@ pub struct Report {
     pub degraded: Vec<DegradedVerdict>,
     /// Funnel accounting.
     pub funnel: FunnelStats,
-    /// Per-stage wall-time/throughput breakdown of the run. Skipped in
-    /// serialization so report JSON is byte-identical across worker
-    /// counts and machines.
-    #[serde(skip)]
-    pub timings: PipelineTimings,
 }
 
 impl Report {
@@ -475,9 +469,7 @@ impl Pipeline {
         inputs: &AnalystInputs,
         metrics: &mut MetricsRegistry,
     ) -> Report {
-        let run_start = Instant::now();
         let run_span = metrics.span_open("pipeline.run");
-        let mut timings = PipelineTimings::default();
 
         // ---- stage 0: validate + quarantine ---------------------------
         // The survivors are a selection into the source; the
@@ -504,10 +496,8 @@ impl Pipeline {
         metrics.span_close(span);
 
         // ---- stages 1–5 -----------------------------------------------
-        let (maps, patterns) =
-            self.build_and_classify(src, selection.as_deref(), metrics, &mut timings);
-        let mut report =
-            self.analyze_classified(&maps, &patterns, quarantined, inputs, metrics, &mut timings);
+        let (maps, patterns) = self.build_and_classify(src, selection.as_deref(), metrics);
+        let report = self.analyze_classified(&maps, &patterns, quarantined, inputs, metrics);
 
         // ---- release --------------------------------------------------
         // Freeing the maps costs milliseconds at corpus scale; time it in
@@ -521,7 +511,6 @@ impl Pipeline {
         stage_sample(metrics, "release", released, t.elapsed(), alloc0);
         metrics.span_close(span);
 
-        timings.total_ms = run_start.elapsed().as_secs_f64() * 1e3;
         record_funnel(metrics, &report.funnel);
         if let Some(kb) = metrics::peak_rss_kb() {
             metrics.gauge("process.peak_rss_kb", kb as f64);
@@ -537,7 +526,6 @@ impl Pipeline {
             );
         }
         metrics.span_close(run_span);
-        report.timings = timings;
         report
     }
 
@@ -549,15 +537,14 @@ impl Pipeline {
     /// `src` through `selection` must already be `(domain, date)`-sorted,
     /// as both outputs of stage 0 are; the map engine does not re-check.
     /// Each stage runs in its `stage.*` span with its stage sample, the
-    /// map build's shard gauges and both stages' worker gauges; fills
-    /// `timings.{map_build,classify}`. The patterns parallel the maps, a
-    /// failed classification holding [`Pattern::Unclassified`].
+    /// map build's shard gauges and both stages' worker gauges. The
+    /// patterns parallel the maps, a failed classification holding
+    /// [`Pattern::Unclassified`].
     pub(crate) fn build_and_classify<S: ObsSource>(
         &self,
         src: &S,
         selection: Option<&[u32]>,
         metrics: &mut MetricsRegistry,
-        timings: &mut PipelineTimings,
     ) -> (Vec<DeploymentMap>, Vec<Pattern>) {
         // ---- stage 1: deployment maps ---------------------------------
         let kept_len = selection.map_or(src.len(), <[u32]>::len);
@@ -567,7 +554,6 @@ impl Pipeline {
         let (maps, shards) = self
             .map_builder()
             .build_sorted(src, selection, self.config.workers);
-        timings.map_build = StageTiming::from_elapsed(t.elapsed(), kept_len);
         let mut stage_shard = MetricsShard::default();
         for (i, s) in shards.iter().enumerate() {
             stage_shard.gauge(&format!("map_build.shard.{i}.items"), s.observations as f64);
@@ -597,7 +583,6 @@ impl Pipeline {
         let mut stage_shard = MetricsShard::default();
         let t = Instant::now();
         let patterns = self.classify_maps_metered(&maps, &mut stage_shard);
-        timings.classify = StageTiming::from_elapsed(t.elapsed(), maps.len());
         metrics.merge(stage_shard);
         stage_sample(metrics, "classify", maps.len(), t.elapsed(), alloc0);
         metrics.span_close(span);
@@ -610,10 +595,9 @@ impl Pipeline {
     /// stage sample), then [`finish_report`](Self::finish_report).
     /// [`Pattern::Unclassified`] maps count under
     /// `funnel.quarantined.worker_panic`, on top of the stage-0 histogram
-    /// `quarantined`, and are otherwise skipped as if never built. Fills
-    /// `timings.{shortlist,inspect,pivot}`; the returned [`Report`]
-    /// carries default timings. The `funnel.*` counters are left to the
-    /// caller, so a stream does not add them up week after week.
+    /// `quarantined`, and are otherwise skipped as if never built. The
+    /// `funnel.*` counters are left to the caller, so a stream does not
+    /// add them up week after week.
     pub(crate) fn analyze_classified(
         &self,
         maps: &[DeploymentMap],
@@ -621,7 +605,6 @@ impl Pipeline {
         quarantined: BTreeMap<String, usize>,
         inputs: &AnalystInputs,
         metrics: &mut MetricsRegistry,
-        timings: &mut PipelineTimings,
     ) -> Report {
         let mut funnel = funnel_population(maps, patterns, quarantined);
 
@@ -638,7 +621,6 @@ impl Pipeline {
             inputs.certs,
             &self.config.shortlist,
         );
-        timings.shortlist = StageTiming::from_elapsed(t.elapsed(), maps.len());
         let mut src_shard = MetricsShard::default();
         as2org.record(&mut src_shard);
         metrics.merge(src_shard);
@@ -653,26 +635,22 @@ impl Pipeline {
         let mut stage_shard = MetricsShard::default();
         let t = Instant::now();
         let inspected = self.inspect_candidates_metered(candidates, inputs, &mut stage_shard);
-        timings.inspect = StageTiming::from_elapsed(t.elapsed(), candidates.len());
         metrics.merge(stage_shard);
         stage_sample(metrics, "inspect", candidates.len(), t.elapsed(), alloc0);
         metrics.span_close(span);
 
-        self.finish_report(inputs, funnel, inspected, metrics, timings)
+        self.finish_report(inputs, funnel, inspected, metrics)
     }
 
     /// The post-inspection tail of the pipeline: T1* promotion, pivot
     /// expansion, attacker geo backfill, degraded-mode accounting, and
-    /// verdict dedup/ordering. Returns the assembled [`Report`] with
-    /// default timings (the caller owns wall-clock bookkeeping);
-    /// `timings.pivot` is filled in here.
+    /// verdict dedup/ordering. Returns the assembled [`Report`].
     fn finish_report(
         &self,
         inputs: &AnalystInputs,
         mut funnel: FunnelStats,
         inspected: InspectionResults,
         metrics: &mut MetricsRegistry,
-        timings: &mut PipelineTimings,
     ) -> Report {
         let InspectionResults {
             mut hijacked,
@@ -714,7 +692,6 @@ impl Pipeline {
         let mut crtsh_src =
             ResilientSource::new(inputs.crtsh, self.config.sources, inputs.source_faults);
         let pivoted = pivot_guarded(&hijacked, &mut pdns_src, &mut crtsh_src, &self.config.pivot);
-        timings.pivot = StageTiming::from_elapsed(t.elapsed(), hijacked.len());
         metrics.count("pivot.discovered", pivoted.found.len() as u64);
         if pivoted.degraded_lookups > 0 {
             metrics.count("pivot.degraded_lookups", pivoted.degraded_lookups as u64);
@@ -780,7 +757,6 @@ impl Pipeline {
             targeted,
             degraded,
             funnel,
-            timings: PipelineTimings::default(),
         }
     }
 }

@@ -1,33 +1,26 @@
-//! The versioned binary format and its zero-copy reader.
+//! The serialized form of a store: its dictionary and chunk parts.
 //!
-//! ```text
-//! ┌────────────────────────────────────────────────────────────┐
-//! │ magic "RDSTORE1" · version u32 · epoch u32 · rows u64      │
-//! │ chunk_rows u32 · n_chunks u32 · dict_len u64 · dict_hash   │
-//! ├────────────────────────────────────────────────────────────┤
-//! │ chunk table: n_chunks × (rows u32, encoded_len u32, hash)  │
-//! ├────────────────────────────────────────────────────────────┤
-//! │ dictionary payload (domains, certs)                        │
-//! ├────────────────────────────────────────────────────────────┤
-//! │ chunk payloads, concatenated                               │
-//! └────────────────────────────────────────────────────────────┘
-//! ```
+//! A store serializes as separate *parts* — one dictionary payload
+//! ([`ObservationStore::encode_dict`]) and one payload per chunk
+//! ([`ObservationStore::encode_chunk`]) — described by a
+//! [`StoreManifest`] that names each part by content hash. The
+//! checkpoint writes each part to a file named by that hash, and
+//! [`ObservationStore::from_parts`] reads them back.
 //!
-//! Fixed-width header fields are little-endian; everything inside a
-//! payload is varint-coded (see [`crate::varint`]). Per column within a
-//! chunk: `domain_id` and `cert` are zigzag-delta varints (the stream is
-//! sorted by `(domain, day)`, so deltas are tiny), `day` is run-length
-//! coded over deltas (a weekly cadence collapses to one `(7, n)` pair per
-//! domain), `asn` and `country` are per-chunk dictionaries (distinct
-//! values then per-row codes), `ip` is plain varints, and `trusted` is a
-//! packed bitmap.
+//! Everything inside a payload is varint-coded (see [`crate::varint`]).
+//! Per column within a chunk: `domain_id` and `cert` are zigzag-delta
+//! varints (the stream is sorted by `(domain, day)`, so deltas are
+//! tiny), `day` is run-length coded over deltas (a weekly cadence
+//! collapses to one `(7, n)` pair per domain), `asn` and `country` are
+//! per-chunk dictionaries (distinct values then per-row codes), `ip` is
+//! plain varints, and `trusted` is a packed bitmap.
 //!
 //! Chunk hashes are *content* hashes — a fold over the decoded column
-//! values, not the encoded bytes — so the incremental checkpoint manifest
-//! can name a chunk without serializing it, and corruption anywhere in a
-//! payload is caught either as a codec error (truncated/overlong varint,
-//! out-of-range value) or as a hash mismatch after decode. A corrupt
-//! chunk is rejected before a single row of it reaches the pipeline.
+//! values, not the encoded bytes — so the manifest can name a chunk
+//! without serializing it, and corruption anywhere in a part is caught
+//! either as a codec error (truncated/overlong varint, out-of-range
+//! value) or as a hash mismatch after decode. A damaged part fails the
+//! whole load before a single row of it reaches the pipeline.
 
 use crate::store::{chunk_hash_parts, ObservationStore, StoreError, CHUNK_ROWS};
 use crate::varint::{get_u64, put_u64, unzigzag, zigzag};
@@ -36,21 +29,15 @@ use retrodns_types::{Day, DomainName};
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
-/// Leading magic of every serialized store.
-pub const STORE_MAGIC: [u8; 8] = *b"RDSTORE1";
-
-/// Bumped when the wire layout changes; old bytes are then rejected.
+/// Bumped when the part layout changes; old parts are then rejected.
 pub const STORE_FORMAT_VERSION: u32 = 1;
-
-const HEADER_LEN: usize = 8 + 4 + 4 + 8 + 4 + 4 + 8 + 8;
-const CHUNK_TABLE_ENTRY: usize = 4 + 4 + 8;
 
 /// Content-addressed description of a serialized store: everything
 /// needed to decide whether a dictionary or chunk on disk is current
 /// without reading (or re-hashing) its bytes.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct StoreManifest {
-    /// Wire format version the parts were encoded with.
+    /// Format version the parts were encoded with.
     pub version: u32,
     /// Store epoch (absolute day zero of the `day` column).
     pub epoch: u32,
@@ -64,34 +51,6 @@ pub struct StoreManifest {
     pub chunk_hashes: Vec<u64>,
     /// Dictionary content hash.
     pub dict_hash: u64,
-}
-
-fn put_u32_le(buf: &mut Vec<u8>, v: u32) {
-    buf.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_u64_le(buf: &mut Vec<u8>, v: u64) {
-    buf.extend_from_slice(&v.to_le_bytes());
-}
-
-fn read_u32_le(buf: &[u8], pos: &mut usize) -> Result<u32, StoreError> {
-    let b = buf
-        .get(*pos..*pos + 4)
-        .ok_or(StoreError::Truncated)?
-        .try_into()
-        .expect("4-byte slice");
-    *pos += 4;
-    Ok(u32::from_le_bytes(b))
-}
-
-fn read_u64_le(buf: &[u8], pos: &mut usize) -> Result<u64, StoreError> {
-    let b = buf
-        .get(*pos..*pos + 8)
-        .ok_or(StoreError::Truncated)?
-        .try_into()
-        .expect("8-byte slice");
-    *pos += 8;
-    Ok(u64::from_le_bytes(b))
 }
 
 impl ObservationStore {
@@ -111,39 +70,7 @@ impl ObservationStore {
         }
     }
 
-    /// Serialize the whole store (header, chunk table, dictionary,
-    /// chunk payloads).
-    pub fn encode(&self) -> Vec<u8> {
-        let dict = self.encode_dict();
-        let chunks: Vec<Vec<u8>> = (0..self.n_chunks()).map(|c| self.encode_chunk(c)).collect();
-        let mut buf = Vec::with_capacity(
-            HEADER_LEN
-                + chunks.len() * CHUNK_TABLE_ENTRY
-                + dict.len()
-                + chunks.iter().map(Vec::len).sum::<usize>(),
-        );
-        buf.extend_from_slice(&STORE_MAGIC);
-        put_u32_le(&mut buf, STORE_FORMAT_VERSION);
-        put_u32_le(&mut buf, self.epoch().0);
-        put_u64_le(&mut buf, self.len() as u64);
-        put_u32_le(&mut buf, CHUNK_ROWS as u32);
-        put_u32_le(&mut buf, chunks.len() as u32);
-        put_u64_le(&mut buf, dict.len() as u64);
-        put_u64_le(&mut buf, self.dict_hash());
-        for (c, payload) in chunks.iter().enumerate() {
-            let rows = (self.len() - c * CHUNK_ROWS).min(CHUNK_ROWS);
-            put_u32_le(&mut buf, rows as u32);
-            put_u32_le(&mut buf, payload.len() as u32);
-            put_u64_le(&mut buf, self.chunk_hashes()[c]);
-        }
-        buf.extend_from_slice(&dict);
-        for payload in &chunks {
-            buf.extend_from_slice(payload);
-        }
-        buf
-    }
-
-    /// Serialize only the dictionary section.
+    /// Serialize the dictionary part.
     pub fn encode_dict(&self) -> Vec<u8> {
         let mut buf = Vec::new();
         put_u64(&mut buf, self.domains.len() as u64);
@@ -159,7 +86,7 @@ impl ObservationStore {
         buf
     }
 
-    /// Serialize one chunk's column payload.
+    /// Serialize one chunk's part: its column payload.
     pub fn encode_chunk(&self, chunk: usize) -> Vec<u8> {
         let lo = chunk * CHUNK_ROWS;
         let hi = (lo + CHUNK_ROWS).min(self.len());
@@ -505,7 +432,7 @@ impl Assembler {
         Ok(())
     }
 
-    /// Seal the assembled store, checking totals against the header.
+    /// Seal the assembled store, checking totals against the manifest.
     fn finish(
         mut self,
         expected_rows: u64,
@@ -522,159 +449,5 @@ impl Assembler {
             return Err(StoreError::DictHash);
         }
         Ok(self.store)
-    }
-}
-
-/// Result of a best-effort load over possibly-damaged bytes: corrupt
-/// chunks are dropped (never analyzed), and the damage is reported.
-#[derive(Debug)]
-pub struct LossyLoad {
-    /// The store assembled from the chunks that verified.
-    pub store: ObservationStore,
-    /// Indices of chunks that failed to decode or verify.
-    pub bad_chunks: Vec<usize>,
-    /// Rows lost with those chunks (per the chunk table).
-    pub lost_rows: usize,
-    /// Human-readable decode errors, one per bad chunk.
-    pub errors: Vec<String>,
-}
-
-/// Borrowed view over one chunk's table entry and payload bytes.
-#[derive(Debug, Clone, Copy)]
-pub struct ChunkRef<'a> {
-    /// Rows the chunk holds.
-    pub rows: u32,
-    /// Expected content hash.
-    pub hash: u64,
-    /// Encoded payload bytes.
-    pub bytes: &'a [u8],
-}
-
-/// Zero-copy reader over serialized store bytes: parses the header and
-/// chunk table, borrowing dictionary and payload slices without decoding
-/// them until asked — the mmap-style access path.
-#[derive(Debug)]
-pub struct StoreReader<'a> {
-    epoch: Day,
-    rows: u64,
-    dict_hash: u64,
-    dict_bytes: &'a [u8],
-    chunks: Vec<ChunkRef<'a>>,
-}
-
-impl<'a> StoreReader<'a> {
-    /// Parse the header and chunk table of `data`, borrowing everything.
-    pub fn open(data: &'a [u8]) -> Result<StoreReader<'a>, StoreError> {
-        if data.get(..8) != Some(&STORE_MAGIC[..]) {
-            return Err(StoreError::BadMagic);
-        }
-        let mut pos = 8;
-        let version = read_u32_le(data, &mut pos)?;
-        if version != STORE_FORMAT_VERSION {
-            return Err(StoreError::Version(version));
-        }
-        let epoch = Day(read_u32_le(data, &mut pos)?);
-        let rows = read_u64_le(data, &mut pos)?;
-        let _chunk_rows = read_u32_le(data, &mut pos)?;
-        let n_chunks = read_u32_le(data, &mut pos)? as usize;
-        let dict_len = read_u64_le(data, &mut pos)? as usize;
-        let dict_hash = read_u64_le(data, &mut pos)?;
-        let mut table = Vec::with_capacity(n_chunks.min(1 << 20));
-        for _ in 0..n_chunks {
-            let rows = read_u32_le(data, &mut pos)?;
-            let len = read_u32_le(data, &mut pos)?;
-            let hash = read_u64_le(data, &mut pos)?;
-            table.push((rows, len, hash));
-        }
-        let dict_bytes = data.get(pos..pos + dict_len).ok_or(StoreError::Truncated)?;
-        pos += dict_len;
-        let mut chunks = Vec::with_capacity(n_chunks);
-        for (rows, len, hash) in table {
-            let bytes = data
-                .get(pos..pos + len as usize)
-                .ok_or(StoreError::Truncated)?;
-            pos += len as usize;
-            chunks.push(ChunkRef { rows, hash, bytes });
-        }
-        if pos != data.len() {
-            return Err(StoreError::TrailingBytes);
-        }
-        Ok(StoreReader {
-            epoch,
-            rows,
-            dict_hash,
-            dict_bytes,
-            chunks,
-        })
-    }
-
-    /// Total rows promised by the header.
-    pub fn rows(&self) -> u64 {
-        self.rows
-    }
-
-    /// Store epoch.
-    pub fn epoch(&self) -> Day {
-        self.epoch
-    }
-
-    /// Number of chunks.
-    pub fn n_chunks(&self) -> usize {
-        self.chunks.len()
-    }
-
-    /// Borrowed table entry and payload of chunk `c`.
-    pub fn chunk(&self, c: usize) -> ChunkRef<'a> {
-        self.chunks[c]
-    }
-
-    /// Borrowed dictionary payload.
-    pub fn dict_bytes(&self) -> &'a [u8] {
-        self.dict_bytes
-    }
-
-    /// Decode every chunk, verifying all content hashes. Any corruption
-    /// fails the whole load.
-    pub fn decode(&self) -> Result<ObservationStore, StoreError> {
-        let (domains, certs) = decode_dict(self.dict_bytes)?;
-        let mut asm = Assembler::new(self.epoch, domains, certs);
-        for (c, chunk) in self.chunks.iter().enumerate() {
-            let cols = decode_chunk(chunk.bytes, chunk.rows as usize)?;
-            asm.append(c, cols, chunk.hash)?;
-        }
-        asm.finish(self.rows, self.dict_hash)
-    }
-
-    /// Decode what verifies, drop what doesn't. Header and dictionary
-    /// must still be intact — there is no partial recovery without the
-    /// dictionaries.
-    pub fn decode_lossy(&self) -> Result<LossyLoad, StoreError> {
-        let (domains, certs) = decode_dict(self.dict_bytes)?;
-        let mut asm = Assembler::new(self.epoch, domains, certs);
-        let mut bad_chunks = Vec::new();
-        let mut lost_rows = 0usize;
-        let mut errors = Vec::new();
-        for (c, chunk) in self.chunks.iter().enumerate() {
-            let spliced = decode_chunk(chunk.bytes, chunk.rows as usize)
-                .and_then(|cols| asm.append(c, cols, chunk.hash));
-            if let Err(e) = spliced {
-                bad_chunks.push(c);
-                lost_rows += chunk.rows as usize;
-                errors.push(format!("chunk {c}: {e}"));
-            }
-        }
-        let survived = asm.rows as u64;
-        let store = asm.finish(survived, self.dict_hash)?;
-        Ok(LossyLoad {
-            store,
-            bad_chunks,
-            lost_rows,
-            errors,
-        })
-    }
-
-    /// Verify every content hash without keeping the decoded store.
-    pub fn verify(&self) -> Result<(), StoreError> {
-        self.decode().map(|_| ())
     }
 }

@@ -11,11 +11,11 @@
 //!   dictionaries, `u32`/`u16` columns with sentinels for `None`, a
 //!   packed trust bitset, and per-chunk content hashes computed once at
 //!   build time (~20 bytes per observation vs ~80 for the row structs).
-//! * the wire format ([`ObservationStore::encode`], [`StoreReader`]) —
-//!   a versioned binary layout with delta/RLE/dictionary column codecs
-//!   and a content-hashed chunk table; [`StoreReader::open`] borrows
-//!   chunk payloads zero-copy and [`StoreReader::decode_lossy`]
-//!   quarantines corrupt chunks instead of analyzing them.
+//! * the serialized form ([`ObservationStore::encode_dict`],
+//!   [`ObservationStore::encode_chunk`], [`ObservationStore::from_parts`])
+//!   — one dictionary part and one part per chunk, each coded with
+//!   delta/RLE/dictionary column codecs and named by content hash in a
+//!   [`StoreManifest`]; a damaged part fails the whole load.
 //! * [`ObservationView`] — the trait the pipeline consumes, implemented
 //!   by both the legacy row slice (the correctness oracle) and the
 //!   store, with representation-independent fingerprints so checkpoints
@@ -32,9 +32,7 @@ pub mod store;
 pub mod varint;
 pub mod view;
 
-pub use codec::{
-    ChunkRef, LossyLoad, StoreManifest, StoreReader, STORE_FORMAT_VERSION, STORE_MAGIC,
-};
+pub use codec::{StoreManifest, STORE_FORMAT_VERSION};
 pub use store::{
     DictCodes, ObsColumns, ObservationStore, StoreBuilder, StoreError, ASN_NONE, CHUNK_ROWS,
     COUNTRY_NONE,

@@ -45,8 +45,6 @@ pub enum StoreError {
         /// The store epoch the day is relative to.
         epoch: u32,
     },
-    /// Serialized bytes do not start with the store magic.
-    BadMagic,
     /// Unsupported format version.
     Version(u32),
     /// Input ended before the structure it promised.
@@ -72,13 +70,13 @@ pub enum StoreError {
         /// The column the bad value was found in.
         column: &'static str,
     },
-    /// A section decoded cleanly but left unconsumed bytes behind.
+    /// A part decoded cleanly but left unconsumed bytes behind.
     TrailingBytes,
-    /// Decoded row count disagrees with the header.
+    /// Decoded row or chunk count disagrees with the manifest.
     RowCount {
-        /// Rows promised by the header/manifest.
+        /// Count promised by the manifest.
         expected: u64,
-        /// Rows actually decoded.
+        /// Count actually decoded.
         got: u64,
     },
 }
@@ -93,7 +91,6 @@ impl fmt::Display for StoreError {
                     epoch + u16::MAX as u32
                 )
             }
-            StoreError::BadMagic => write!(f, "not a retrodns store (bad magic)"),
             StoreError::Version(v) => write!(f, "unsupported store format version {v}"),
             StoreError::Truncated => write!(f, "store bytes truncated"),
             StoreError::CorruptVarint => write!(f, "corrupt varint"),
@@ -106,7 +103,7 @@ impl fmt::Display for StoreError {
             StoreError::RowCount { expected, got } => {
                 write!(
                     f,
-                    "row count mismatch: header says {expected}, decoded {got}"
+                    "row count mismatch: manifest says {expected}, decoded {got}"
                 )
             }
         }
@@ -693,7 +690,7 @@ impl ObservationStore {
     }
 
     /// Content hash over the column values of rows `lo..hi` — independent
-    /// of the wire encoding, so the checkpoint manifest can address a
+    /// of the part encoding, so the checkpoint manifest can address a
     /// chunk without serializing it.
     pub(crate) fn chunk_content_hash(&self, lo: usize, hi: usize) -> u64 {
         chunk_hash_parts(

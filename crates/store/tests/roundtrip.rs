@@ -1,13 +1,16 @@
-//! Round-trip and corruption-detection properties of the columnar store:
-//! encode→decode must reproduce arbitrary observation batches exactly
-//! (including empty, single-domain, and None-ASN edge cases), damaged
-//! bytes must never be silently analyzed, and the lossy loader must
-//! quarantine exactly the damaged chunks.
+//! Round-trip and corruption-detection properties of the columnar store's
+//! serialized form — a manifest, one dictionary part and one part per
+//! chunk, as the checkpoint writes them: parts→`from_parts` must
+//! reproduce arbitrary observation batches exactly (including empty,
+//! single-domain, and None-ASN edge cases), and a damaged part must never
+//! be silently analyzed.
 
 use proptest::prelude::*;
 use retrodns_cert::CertId;
 use retrodns_scan::DomainObservation;
-use retrodns_store::{rows_fingerprint, ObservationStore, StoreError, StoreReader, CHUNK_ROWS};
+use retrodns_store::{
+    rows_fingerprint, ObservationStore, StoreError, StoreManifest, CHUNK_ROWS, STORE_FORMAT_VERSION,
+};
 use retrodns_types::{Asn, Day, Ipv4Addr};
 
 fn arb_observation() -> impl Strategy<Value = DomainObservation> {
@@ -34,60 +37,95 @@ fn arb_observation() -> impl Strategy<Value = DomainObservation> {
         })
 }
 
+/// What a checkpoint writes for `store`: its manifest, then its parts —
+/// the dictionary first, then every chunk in order.
+fn parts(store: &ObservationStore) -> (StoreManifest, Vec<Vec<u8>>) {
+    let parts = std::iter::once(store.encode_dict())
+        .chain((0..store.n_chunks()).map(|c| store.encode_chunk(c)))
+        .collect();
+    (store.manifest(), parts)
+}
+
+/// Reassemble a store from a manifest and parts laid out as [`parts`]
+/// returns them.
+fn from_parts(manifest: &StoreManifest, parts: &[Vec<u8>]) -> Result<ObservationStore, StoreError> {
+    ObservationStore::from_parts(manifest, &parts[0], &parts[1..])
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
-    /// encode→open→decode reproduces the input batch exactly — order,
+    /// parts→`from_parts` reproduces the input batch exactly — order,
     /// duplicates, None fields and all — and the fingerprint matches the
     /// row-path fold.
     #[test]
     fn encode_decode_round_trips(rows in prop::collection::vec(arb_observation(), 0..400)) {
         let store = ObservationStore::from_observations(&rows).unwrap();
-        let bytes = store.encode();
-        let reader = StoreReader::open(&bytes).unwrap();
-        prop_assert_eq!(reader.rows(), rows.len() as u64);
-        let decoded = reader.decode().unwrap();
-        prop_assert_eq!(&decoded, &store);
+        let (manifest, parts) = parts(&store);
+        let decoded = from_parts(&manifest, &parts).unwrap();
         let back: Vec<DomainObservation> = decoded.iter().collect();
         prop_assert_eq!(&back, &rows);
         prop_assert_eq!(decoded.fingerprint(), rows_fingerprint(&rows));
     }
 
-    /// A manifest plus its parts rebuilds the identical store (the
-    /// incremental-checkpoint load path).
+    /// A manifest plus its parts rebuilds the identical store, and the
+    /// manifest accounts for every row.
     #[test]
     fn manifest_parts_round_trip(rows in prop::collection::vec(arb_observation(), 0..300)) {
         let store = ObservationStore::from_observations(&rows).unwrap();
-        let manifest = store.manifest();
-        let dict = store.encode_dict();
-        let chunks: Vec<Vec<u8>> = (0..store.n_chunks()).map(|c| store.encode_chunk(c)).collect();
-        let rebuilt = ObservationStore::from_parts(&manifest, &dict, &chunks).unwrap();
+        let (manifest, parts) = parts(&store);
+        prop_assert_eq!(manifest.rows, rows.len() as u64);
+        prop_assert_eq!(
+            manifest.chunk_rows_each.iter().map(|&r| r as u64).sum::<u64>(),
+            manifest.rows
+        );
+        let rebuilt = from_parts(&manifest, &parts).unwrap();
         prop_assert_eq!(&rebuilt, &store);
     }
 
-    /// Any single flipped byte is detected: the strict decoder errors
-    /// out, it never silently returns different observations.
+    /// Any single flipped bit in the dictionary or a chunk part is
+    /// detected: `from_parts` errors out, it never silently returns
+    /// different observations.
     #[test]
     fn single_bitflip_never_silently_accepted(
         rows in prop::collection::vec(arb_observation(), 1..200),
+        part_seed in any::<u64>(),
         pos_seed in any::<u64>(),
         bit in 0u8..8,
     ) {
         let store = ObservationStore::from_observations(&rows).unwrap();
-        let mut bytes = store.encode();
-        let pos = (pos_seed % bytes.len() as u64) as usize;
-        bytes[pos] ^= 1 << bit;
-        match StoreReader::open(&bytes).and_then(|r| r.decode()) {
-            Err(_) => {} // detected — good
-            Ok(decoded) => {
-                // A flip that decodes cleanly must decode to the *same*
-                // observations (e.g. a flip in unused varint padding is
-                // impossible with LEB128, so equality is the only
-                // acceptable outcome).
-                let back: Vec<DomainObservation> = decoded.iter().collect();
-                prop_assert_eq!(&back, &rows, "corrupt bytes decoded to different data");
-            }
+        let (manifest, mut parts) = parts(&store);
+        let n = parts.len() as u64;
+        let part = &mut parts[(part_seed % n) as usize];
+        let pos = (pos_seed % part.len() as u64) as usize;
+        part[pos] ^= 1 << bit;
+        if let Ok(decoded) = from_parts(&manifest, &parts) {
+            // A flip that decodes cleanly must decode to the *same*
+            // observations (a flip in the trust bitmap's padding bits, or
+            // one that only changes a domain's letter case, is harmless).
+            let back: Vec<DomainObservation> = decoded.iter().collect();
+            prop_assert_eq!(&back, &rows, "corrupt part decoded to different data");
         }
+    }
+
+    /// A part cut short at any length fails the load.
+    #[test]
+    fn truncated_bytes_are_rejected_not_analyzed(
+        rows in prop::collection::vec(arb_observation(), 0..200),
+        part_seed in any::<u64>(),
+        cut_seed in any::<u64>(),
+    ) {
+        let store = ObservationStore::from_observations(&rows).unwrap();
+        let (manifest, mut parts) = parts(&store);
+        let n = parts.len() as u64;
+        let part = &mut parts[(part_seed % n) as usize];
+        let cut = (cut_seed % part.len() as u64) as usize;
+        part.truncate(cut);
+        prop_assert!(
+            from_parts(&manifest, &parts).is_err(),
+            "truncation at {} bytes must be detected",
+            cut
+        );
     }
 }
 
@@ -114,75 +152,46 @@ fn multi_chunk_round_trip_and_chunk_table() {
     let rows = fixture(CHUNK_ROWS + CHUNK_ROWS / 2);
     let store = ObservationStore::from_observations(&rows).unwrap();
     assert_eq!(store.n_chunks(), 2);
-    let bytes = store.encode();
-    let reader = StoreReader::open(&bytes).unwrap();
-    assert_eq!(reader.n_chunks(), 2);
-    assert_eq!(reader.chunk(0).rows as usize, CHUNK_ROWS);
-    assert_eq!(reader.chunk(1).rows as usize, CHUNK_ROWS / 2);
-    let decoded = reader.decode().unwrap();
-    assert_eq!(decoded, store);
-}
+    let (manifest, parts) = parts(&store);
+    assert_eq!(
+        manifest.chunk_rows_each,
+        vec![CHUNK_ROWS as u32, CHUNK_ROWS as u32 / 2]
+    );
+    assert_eq!(manifest.chunk_hashes, store.chunk_hashes());
+    assert_eq!(from_parts(&manifest, &parts).unwrap(), store);
 
-#[test]
-fn truncated_bytes_are_rejected_not_analyzed() {
-    let rows = fixture(5000);
-    let store = ObservationStore::from_observations(&rows).unwrap();
-    let bytes = store.encode();
-    for cut in [bytes.len() * 3 / 5, 40, 7, 0] {
-        let res = StoreReader::open(&bytes[..cut]).and_then(|r| r.decode());
-        assert!(res.is_err(), "truncation at {cut} bytes must be detected");
-    }
-}
-
-#[test]
-fn lossy_decode_quarantines_only_damaged_chunks() {
-    let rows = fixture(CHUNK_ROWS * 2 + 500);
-    let store = ObservationStore::from_observations(&rows).unwrap();
-    let bytes = store.encode();
-    let reader = StoreReader::open(&bytes).unwrap();
-    // Flip a byte in the middle of chunk 1's payload.
-    let chunk1 = reader.chunk(1);
-    let offset_in_file = chunk1.bytes.as_ptr() as usize - bytes.as_ptr() as usize;
-    let mut damaged = bytes.clone();
-    damaged[offset_in_file + chunk1.bytes.len() / 2] ^= 0x40;
-
-    let reader = StoreReader::open(&damaged).unwrap();
-    assert!(reader.decode().is_err(), "strict decode must fail");
-    let lossy = reader.decode_lossy().unwrap();
-    assert_eq!(lossy.bad_chunks, vec![1]);
-    assert_eq!(lossy.lost_rows, CHUNK_ROWS);
-    assert_eq!(lossy.store.len(), CHUNK_ROWS + 500);
-    assert_eq!(lossy.errors.len(), 1);
-    // Surviving rows are exactly the original rows minus chunk 1.
-    let mut expect = rows[..CHUNK_ROWS].to_vec();
-    expect.extend_from_slice(&rows[2 * CHUNK_ROWS..]);
-    let got: Vec<DomainObservation> = lossy.store.iter().collect();
-    assert_eq!(got, expect);
-}
-
-#[test]
-fn bad_magic_and_version_are_rejected() {
-    let store = ObservationStore::from_observations(&fixture(10)).unwrap();
-    let bytes = store.encode();
-    let mut bad = bytes.clone();
-    bad[0] = b'X';
-    assert_eq!(StoreReader::open(&bad).unwrap_err(), StoreError::BadMagic);
-    let mut bad = bytes.clone();
-    bad[8] = 0xFE; // version word
+    // Damage to the second chunk fails the whole load: no partial store
+    // is assembled from the chunks that still verify.
+    let mut damaged = parts.clone();
+    let mid = damaged[2].len() / 2;
+    damaged[2][mid] ^= 0x40;
+    assert!(from_parts(&manifest, &damaged).is_err());
+    // So does a manifest that lists a chunk the parts do not hold.
     assert!(matches!(
-        StoreReader::open(&bad).unwrap_err(),
-        StoreError::Version(_)
+        from_parts(&manifest, &parts[..2]),
+        Err(StoreError::RowCount { .. })
     ));
+}
+
+#[test]
+fn wrong_manifest_version_is_rejected() {
+    let store = ObservationStore::from_observations(&fixture(10)).unwrap();
+    let (mut manifest, parts) = parts(&store);
+    manifest.version = STORE_FORMAT_VERSION + 1;
+    assert_eq!(
+        from_parts(&manifest, &parts).unwrap_err(),
+        StoreError::Version(STORE_FORMAT_VERSION + 1)
+    );
 }
 
 #[test]
 fn empty_store_round_trips() {
     let store = ObservationStore::from_observations(&[]).unwrap();
-    let bytes = store.encode();
-    let reader = StoreReader::open(&bytes).unwrap();
-    assert_eq!(reader.rows(), 0);
-    assert_eq!(reader.n_chunks(), 0);
-    let decoded = reader.decode().unwrap();
+    let (manifest, parts) = parts(&store);
+    assert_eq!(manifest.rows, 0);
+    assert!(manifest.chunk_hashes.is_empty());
+    assert_eq!(parts.len(), 1, "the dictionary part alone");
+    let decoded = from_parts(&manifest, &parts).unwrap();
     assert!(decoded.is_empty());
     assert_eq!(decoded, store);
 }

@@ -35,6 +35,10 @@ cargo run --release -p retrodns-bench --bin experiments -- --max-obs 1000000 \
 echo "==> archetype matrix (7 archetypes x 3 seeds; full-recall + no-regression gates)"
 cargo run --release -p retrodns-bench --bin experiments -- archetypes
 
+echo "==> fault matrix (every cell survived and reconciled; matrix unchanged)"
+cargo run --release -p retrodns-bench --bin experiments -- faults
+git diff --exit-code FAULTS_matrix.json
+
 echo "==> serve chaos + load (5 SIGKILLs mid-analysis at workers 1/2/8, byte-identical resume; 50 qps gate)"
 cargo run --release -p retrodns-bench --bin experiments -- --min-serve-qps 50 serve
 

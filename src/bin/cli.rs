@@ -18,6 +18,7 @@
 use retrodns::core::durable::write_atomic;
 use retrodns::core::inspect::InspectConfig;
 use retrodns::core::metrics::{CountingAlloc, MetricsRegistry};
+use retrodns::core::observability::span_summary;
 use retrodns::core::pipeline::{AnalystInputs, Pipeline, PipelineConfig, Report};
 use retrodns::core::report::{render_table2, render_table3, DomainInfo};
 use retrodns::core::score_detection;
@@ -211,8 +212,8 @@ fn analyze(
     } else {
         pipeline.run_with(&inputs, &mut metrics)
     };
+    let snapshot = metrics.snapshot();
     if let Some(path) = &metrics_opts.out {
-        let snapshot = metrics.snapshot();
         let body = match metrics_opts.format {
             MetricsFormat::Json => snapshot.to_json(),
             MetricsFormat::Prom => snapshot.to_prometheus(),
@@ -222,7 +223,7 @@ fn analyze(
     }
 
     println!("stage timings:");
-    print!("{}", report.timings.summary());
+    print!("{}", span_summary(&snapshot.spans));
 
     let f = &report.funnel;
     println!("funnel:");

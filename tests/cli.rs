@@ -563,3 +563,70 @@ fn analyze_stream_readonly_checkpoint_dir_fails_cleanly() {
 
     let _ = std::fs::remove_dir_all(&base);
 }
+
+/// The `stage timings:` table of an `analyze` run's stdout, as (span
+/// name, total ms) pairs in printed order.
+fn stage_table(stdout: &str) -> Vec<(String, f64)> {
+    stdout
+        .lines()
+        .skip_while(|l| *l != "stage timings:")
+        .skip(1)
+        .take_while(|l| *l != "funnel:")
+        .map(|l| {
+            let cols: Vec<&str> = l.split_whitespace().collect();
+            assert!(matches!(cols[..], [_, _, "ms"]), "malformed line {l:?}");
+            (cols[0].to_string(), cols[1].parse().expect("total ms"))
+        })
+        .collect()
+}
+
+#[test]
+fn analyze_stage_timings_list_the_recorded_spans() {
+    let base = temp_dir("timings");
+    let data = small_data(&base);
+    let table = |stream: bool| {
+        let mut cmd = bin();
+        cmd.args(["analyze", "--data"]).arg(&data);
+        if stream {
+            cmd.arg("--stream");
+        }
+        let out = cmd.output().expect("run analyze");
+        assert!(
+            out.status.success(),
+            "{}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        stage_table(&String::from_utf8_lossy(&out.stdout))
+    };
+    let names = |t: &[(String, f64)]| t.iter().map(|(n, _)| n.clone()).collect::<Vec<_>>();
+
+    // Batch: the whole run, then every stage from quarantine to release.
+    let batch = table(false);
+    assert_eq!(
+        names(&batch),
+        [
+            "pipeline.run",
+            "stage.quarantine",
+            "stage.map_build",
+            "stage.classify",
+            "stage.shortlist",
+            "stage.inspect",
+            "stage.pivot",
+            "stage.release",
+        ]
+    );
+    assert!(batch[0].1 > 0.0, "{batch:?}");
+
+    // Stream: only the stages each week opens a span for, summed over
+    // the weeks, so no line reads zero.
+    let stream = table(true);
+    assert_eq!(
+        names(&stream),
+        ["stage.shortlist", "stage.inspect", "stage.pivot"]
+    );
+    for (name, ms) in &stream {
+        assert!(*ms > 0.0, "{name} totals {ms} ms");
+    }
+
+    let _ = std::fs::remove_dir_all(&base);
+}
