@@ -18,7 +18,8 @@
 //!   classification panics holds `Pattern::Unclassified` and is counted
 //!   under `funnel.quarantined.worker_panic`, recounted every week, as the
 //!   batch run counts it — never a panic out of the stream.
-//! * **Shortlist/inspect/pivot** re-run over the updated state (they are
+//! * **Shortlist/inspect/pivot** re-run over the updated state through
+//!   the batch pipeline's own tail (`Pipeline::analyze_classified`; they are
 //!   O(maps), a small fraction of O(observations) — the repeat-period
 //!   and T1* checks are inherently cross-week, so their inputs cannot
 //!   be windowed without changing verdicts).
@@ -28,12 +29,9 @@
 //!   pins this with golden tests and proptests.
 //!
 //! Each ingested week yields a [`WeekDelta`] — the verdict changes the
-//! week introduced, the feed `core::reactive` and a future serve layer
-//! consume. Deltas compose: replaying them over the week-0 report
+//! week introduced, the feed serve's `/jobs/{id}/deltas` and `/watch`
+//! routes read. Deltas compose: replaying them over the week-0 report
 //! reconstructs the final report exactly.
-//!
-//! Stages 3–5 run through the same tail as the batch pipeline
-//! (`Pipeline::analyze_classified`).
 //!
 //! Persistence is the system's one checkpoint format (see
 //! `core::checkpoint`), and the kept-row observation log *is* the
@@ -45,9 +43,10 @@
 //! rebuilds them from the log through the batch run's own stages-1–2
 //! path (`Pipeline::build_and_classify`).
 //! A killed analyzer resumes from the last committed week. The record does
-//! not say whose data the log came from, so a caller that resumes over a
-//! data set first checks
-//! [`holds_first_batches`](IncrementalAnalyzer::holds_first_batches). On
+//! not say whose data the log came from, so [`WeeklyStream`] — the one
+//! weekly driver, which both `analyze --stream` and serve jobs run —
+//! resumes a checkpoint only when its log and quarantine histogram match
+//! the data's first weeks, and otherwise streams afresh. On
 //! the 2 000-domain benchmark world a weekly checkpoint writes ~0.4 MB
 //! (the log's tail chunk and dictionary) instead of the ~6 MB the maps
 //! and patterns took, and a resume half-way through the study costs
@@ -55,7 +54,9 @@
 
 use crate::checkpoint::{config_fingerprint, CheckpointStore};
 use crate::classify::Pattern;
+use crate::durable::write_atomic;
 use crate::inspect::{DegradedVerdict, DetectedHijack, DetectedTarget};
+use crate::lock::DirLock;
 use crate::map::{sorted_selection, ColSource, DeploymentMap};
 use crate::metrics::MetricsRegistry;
 use crate::pipeline::{quarantine, AnalystInputs, FunnelStats, Pipeline, PipelineConfig, Report};
@@ -268,9 +269,9 @@ impl IncrementalAnalyzer {
     /// of `batches`? Its log must fingerprint like those batches'
     /// quarantine-kept rows, and its quarantine histogram must match
     /// theirs. [`resume`](Self::resume) cannot tell whose data a
-    /// checkpoint's log came from; a caller resuming over a data set asks
-    /// this before it carries on, and starts afresh on `false`.
-    pub fn holds_first_batches(
+    /// checkpoint's log came from; [`WeeklyStream::open`] asks this
+    /// before it carries on, and starts afresh on `false`.
+    fn holds_first_batches(
         &self,
         batches: &[Vec<DomainObservation>],
         inputs: &AnalystInputs,
@@ -409,15 +410,25 @@ impl IncrementalAnalyzer {
     /// order, so it reaches the map engine through a `(domain, date)`
     /// sorted selection.
     pub fn resume(config: PipelineConfig, store: &CheckpointStore) -> Option<IncrementalAnalyzer> {
+        Self::resume_metered(config, store, &mut MetricsRegistry::new())
+    }
+
+    /// [`resume`](Self::resume) recording the rebuild's
+    /// `stage.map_build`/`stage.classify` spans and samples into
+    /// `metrics`.
+    pub(crate) fn resume_metered(
+        config: PipelineConfig,
+        store: &CheckpointStore,
+        metrics: &mut MetricsRegistry,
+    ) -> Option<IncrementalAnalyzer> {
         let (log, state): (ObservationStore, IncrementalState) =
             store.load(config_fingerprint(&config)).ok()?;
         let mut analyzer = IncrementalAnalyzer::new(config);
         let src = ColSource(log.columns());
         let by_name = sorted_selection(&src, None);
-        let (maps, patterns) =
-            analyzer
-                .pipeline
-                .build_and_classify(&src, Some(&by_name), &mut MetricsRegistry::new());
+        let (maps, patterns) = analyzer
+            .pipeline
+            .build_and_classify(&src, Some(&by_name), metrics);
         analyzer.patterns = patterns;
         analyzer.maps = maps;
         analyzer.quarantined = state.quarantined;
@@ -427,6 +438,123 @@ impl IncrementalAnalyzer {
         analyzer.log_codes = DictCodes::of(&log);
         analyzer.log = log;
         Some(analyzer)
+    }
+}
+
+/// The final report's archive beside a [`WeeklyStream`]'s checkpoint.
+pub const REPORT_FILE: &str = "report.json";
+
+/// How a [`WeeklyStream`] began.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum StreamStart {
+    /// Nothing to resume: no checkpoint store, no checkpoint in it, a
+    /// damaged one, or one written under another configuration.
+    Fresh,
+    /// The checkpoint held this data's first `n` weeks; the stream
+    /// carries on from week `n`.
+    Resumed(u32),
+    /// The checkpoint holds other data than this stream's first weeks
+    /// (the data set was replaced or shrank): the stream starts at week 0
+    /// and its first checkpoint replaces the old one.
+    Refused,
+}
+
+/// The one weekly driver behind `analyze --stream` and serve jobs: it
+/// slices the weeks, resumes only a checkpoint of this data's first
+/// weeks, skips the weeks already ingested, checkpoints with a lock
+/// heartbeat, and archives the final report. Callers loop over
+/// [`next_week`](Self::next_week) and [`checkpoint`](Self::checkpoint),
+/// separate calls so a crash can land between a week's ingest and its
+/// commit.
+pub struct WeeklyStream<'a> {
+    analyzer: IncrementalAnalyzer,
+    batches: Vec<Vec<DomainObservation>>,
+    inputs: &'a AnalystInputs<'a>,
+    /// The checkpoint store with the caller's lock on its directory: a
+    /// checkpointed stream always holds its lock.
+    checkpoint: Option<(CheckpointStore, &'a DirLock)>,
+}
+
+impl<'a> WeeklyStream<'a> {
+    /// Open a stream over the first `max_weeks` weeks (all on `None`) of
+    /// `observations`, resuming the store's checkpoint when it holds
+    /// their first weeks (the rebuild's spans go to `metrics`).
+    pub fn open(
+        config: PipelineConfig,
+        observations: &[DomainObservation],
+        max_weeks: Option<usize>,
+        inputs: &'a AnalystInputs<'a>,
+        checkpoint: Option<(CheckpointStore, &'a DirLock)>,
+        metrics: &mut MetricsRegistry,
+    ) -> (WeeklyStream<'a>, StreamStart) {
+        let mut batches = week_batches(observations);
+        batches.truncate(max_weeks.unwrap_or(usize::MAX));
+        let resumed = checkpoint.as_ref().and_then(|(store, _)| {
+            IncrementalAnalyzer::resume_metered(config.clone(), store, metrics)
+        });
+        let (start, analyzer) = match resumed {
+            Some(a) if a.holds_first_batches(&batches, inputs) => {
+                (StreamStart::Resumed(a.weeks()), a)
+            }
+            Some(_) => (StreamStart::Refused, IncrementalAnalyzer::new(config)),
+            None => (StreamStart::Fresh, IncrementalAnalyzer::new(config)),
+        };
+        let stream = WeeklyStream {
+            analyzer,
+            batches,
+            inputs,
+            checkpoint,
+        };
+        (stream, start)
+    }
+
+    /// The analyzer: its report and week count so far.
+    pub fn analyzer(&self) -> &IncrementalAnalyzer {
+        &self.analyzer
+    }
+
+    /// Number of weeks the stream covers.
+    pub fn weeks_total(&self) -> u32 {
+        self.batches.len() as u32
+    }
+
+    /// Is every week ingested?
+    pub fn done(&self) -> bool {
+        self.analyzer.weeks() as usize >= self.batches.len()
+    }
+
+    /// Ingest the first week not yet ingested (the slicing is
+    /// deterministic, so week `i` is week `i` again after a resume).
+    /// `None` once [`done`](Self::done).
+    pub fn next_week(&mut self, metrics: &mut MetricsRegistry) -> Option<WeekDelta> {
+        let batch = self.batches.get(self.analyzer.weeks() as usize)?;
+        Some(
+            self.analyzer
+                .ingest_week_metered(batch, self.inputs, metrics),
+        )
+    }
+
+    /// Commit the ingested weeks to the checkpoint store, then heartbeat
+    /// the lock. A stream without a store has nothing to do.
+    pub fn checkpoint(&self) -> std::io::Result<()> {
+        if let Some((store, lock)) = &self.checkpoint {
+            self.analyzer.checkpoint(store)?;
+            let _ = lock.heartbeat();
+        }
+        Ok(())
+    }
+
+    /// The final report and, for a checkpointed stream, its pretty JSON
+    /// as archived in [`REPORT_FILE`]: atomically, since a resumed stream
+    /// must reproduce it byte for byte.
+    pub fn finish(self) -> std::io::Result<(Report, Option<String>)> {
+        let report = self.analyzer.report;
+        let Some((store, _)) = &self.checkpoint else {
+            return Ok((report, None));
+        };
+        let json = serde_json::to_string_pretty(&report).expect("report serializes");
+        write_atomic(&store.dir().join(REPORT_FILE), json.as_bytes())?;
+        Ok((report, Some(json)))
     }
 }
 
@@ -515,6 +643,80 @@ mod tests {
             serde_json::to_string(&replay).unwrap(),
             serde_json::to_string(&new).unwrap()
         );
+    }
+
+    #[test]
+    fn stream_resumes_only_a_checkpoint_of_its_own_first_weeks() {
+        use retrodns_sim::{SimConfig, World};
+
+        let world = World::build(SimConfig {
+            n_domains: 120,
+            ..SimConfig::small(0x57A7)
+        });
+        let observations = world.observations(&world.scan());
+        let inputs = AnalystInputs {
+            observations: &observations,
+            asdb: &world.geo.asdb,
+            certs: &world.certs,
+            pdns: &world.pdns,
+            crtsh: &world.crtsh,
+            dnssec: Some(&world.dnssec),
+            source_faults: None,
+        };
+        let config = PipelineConfig {
+            window: world.config.window.clone(),
+            ..PipelineConfig::default()
+        };
+        let dir =
+            std::env::temp_dir().join(format!("retrodns-incr-stream-start-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let lock = DirLock::acquire(&dir).unwrap();
+        let open = |observations: &[DomainObservation]| {
+            let store = CheckpointStore::open(&dir).unwrap();
+            let checkpoint = Some((store, &lock));
+            let metrics = &mut MetricsRegistry::new();
+            WeeklyStream::open(
+                config.clone(),
+                observations,
+                None,
+                &inputs,
+                checkpoint,
+                metrics,
+            )
+        };
+        let next_week = |stream: &mut WeeklyStream| {
+            let delta = stream.next_week(&mut MetricsRegistry::new());
+            delta.expect("a week remains").week
+        };
+
+        // A fresh stream commits its first three weeks.
+        let (mut stream, start) = open(&observations);
+        assert_eq!(start, StreamStart::Fresh);
+        for _ in 0..3 {
+            next_week(&mut stream);
+            stream.checkpoint().unwrap();
+        }
+
+        // Reopened over the same data, it carries on from week 3.
+        let (mut stream, start) = open(&observations);
+        assert_eq!(start, StreamStart::Resumed(3));
+        assert_eq!(next_week(&mut stream), 3);
+
+        // Without the first scan date every week shifts by one: the
+        // checkpoint is not this data's, and the stream starts at week 0.
+        let first = observations.iter().map(|o| o.date).min().unwrap();
+        let shifted: Vec<DomainObservation> = observations
+            .iter()
+            .filter(|o| o.date != first)
+            .cloned()
+            .collect();
+        let (mut stream, start) = open(&shifted);
+        assert_eq!(start, StreamStart::Refused);
+        assert_eq!(stream.analyzer().weeks(), 0);
+        assert_eq!(next_week(&mut stream), 0);
+
+        drop(lock);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

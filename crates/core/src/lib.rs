@@ -45,7 +45,7 @@ pub mod sources;
 
 pub use checkpoint::CheckpointStore;
 pub use classify::{Pattern, StableKind, TransientKind, TransitionKind};
-pub use incremental::{week_batches, IncrementalAnalyzer, WeekDelta};
+pub use incremental::{week_batches, IncrementalAnalyzer, StreamStart, WeekDelta, WeeklyStream};
 pub use inspect::{DegradedVerdict, DetectedHijack, DetectedTarget, DetectionType, InspectOutcome};
 pub use lock::{DirLock, LockError};
 pub use map::{CertSighting, CountrySighting, Deployment, DeploymentMap, MapBuilder};

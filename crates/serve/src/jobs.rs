@@ -1,13 +1,14 @@
 //! Job supervision: queued analyses over the incremental analyzer.
 //!
 //! A job is a (data directory → final report) analysis run as a stream of
-//! scan weeks through [`IncrementalAnalyzer`], checkpointing into its own
-//! subdirectory of the supervisor's checkpoint root after every week. That
+//! scan weeks through [`WeeklyStream`] — the driver `analyze --stream`
+//! runs too — checkpointing into its own subdirectory of the supervisor's
+//! checkpoint root after every week. That
 //! per-week durability is the whole crash-tolerance story: a checkpoint
 //! commits in one atomic file write, so a SIGKILLed server loses at most
 //! the week in flight. On restart [`JobSupervisor::recover`] sweeps the
 //! tmp files killed writes left, rediscovers every non-terminal job from
-//! its `job.json` and re-enqueues it; [`IncrementalAnalyzer::resume`] then
+//! its `job.json` and re-enqueues it; [`WeeklyStream::open`] then
 //! picks the stream back up, producing a final report byte-identical to
 //! an uninterrupted run (the chaos harness pins exactly this). A
 //! checkpoint that does not hold the first weeks of the data the job now
@@ -43,7 +44,7 @@ use std::time::Duration;
 
 use retrodns_core::durable::{remove_tmp_files, write_atomic};
 use retrodns_core::pipeline::{PipelineConfig, Report};
-use retrodns_core::{week_batches, DirLock, IncrementalAnalyzer, LockError, MetricsRegistry};
+use retrodns_core::{DirLock, LockError, MetricsRegistry, StreamStart, WeeklyStream};
 use serde::{Deserialize, Serialize};
 
 use crate::data::JobData;
@@ -54,7 +55,7 @@ pub const JOB_FILE: &str = "job.json";
 /// Job status file (atomically rewritten at every state change).
 pub const STATUS_FILE: &str = "status.json";
 /// Final report archive (atomically written once, on completion).
-pub const REPORT_FILE: &str = "report.json";
+pub use retrodns_core::incremental::REPORT_FILE;
 
 /// What a client submits: which data to analyze and how.
 #[derive(Debug, Clone, Default, Serialize, Deserialize)]
@@ -700,12 +701,6 @@ impl JobSupervisor {
         };
         let observations = data.observations();
         let inputs = data.inputs(&observations);
-        let mut weeks = week_batches(&observations);
-        if spec.max_weeks > 0 {
-            weeks.truncate(spec.max_weeks as usize);
-        }
-        let weeks_total = weeks.len() as u32;
-
         let config = PipelineConfig {
             workers: spec.workers.max(1),
             inspect: retrodns_core::inspect::InspectConfig {
@@ -718,26 +713,36 @@ impl JobSupervisor {
             Ok(s) => s,
             Err(e) => return fail(format!("checkpoint store {}: {e}", dir.display())),
         };
-        // The checkpoint may predate an edit of the data dir: resume only
-        // a stream over this data's first weeks.
-        let mut analyzer = IncrementalAnalyzer::resume(config.clone(), &store)
-            .filter(|a| a.holds_first_batches(&weeks, &inputs))
-            .unwrap_or_else(|| IncrementalAnalyzer::new(config));
-        let resumed = analyzer.weeks();
+        // The checkpoint may predate an edit of the data dir: the stream
+        // resumes only a checkpoint of this data's first weeks.
+        let mut reg = MetricsRegistry::new();
+        let (mut stream, start) = WeeklyStream::open(
+            config,
+            &observations,
+            (spec.max_weeks > 0).then_some(spec.max_weeks as usize),
+            &inputs,
+            Some((store, &lock)),
+            &mut reg,
+        );
+        self.metrics
+            .lock()
+            .expect("metrics poisoned")
+            .merge(reg.take_shard());
+        let resumed = match start {
+            StreamStart::Resumed(weeks) => weeks,
+            StreamStart::Fresh | StreamStart::Refused => 0,
+        };
         if resumed > 0 {
             self.count("jobs.resumed", 1);
             self.count("weeks.resumed", resumed as u64);
         }
         self.set_status(id, |s| {
-            s.weeks_total = weeks_total;
+            s.weeks_total = stream.weeks_total();
             s.weeks_done = resumed;
             s.resumed_weeks = resumed;
         });
 
-        for (i, batch) in weeks.iter().enumerate() {
-            if (i as u32) < analyzer.weeks() {
-                continue; // already checkpointed before the last crash
-            }
+        while !stream.done() {
             if cancel.load(Ordering::SeqCst) {
                 self.set_status(id, |s| s.state = JobState::Cancelled);
                 self.count("jobs.cancelled", 1);
@@ -759,7 +764,9 @@ impl JobSupervisor {
                 thread::sleep(Duration::from_millis(spec.week_delay_ms));
             }
             let mut reg = MetricsRegistry::new();
-            let delta = analyzer.ingest_week_metered(batch, &inputs, &mut reg);
+            let Some(delta) = stream.next_week(&mut reg) else {
+                break;
+            };
             {
                 let mut metrics = self.metrics.lock().expect("metrics poisoned");
                 metrics.merge(reg.take_shard());
@@ -770,48 +777,39 @@ impl JobSupervisor {
             // Chaos kill point: crash as SIGKILL would — no destructors,
             // no checkpoint flush. `before_checkpoint` lands the crash
             // with a week ingested but not yet durable.
-            if let Some(chaos) = self.cfg.chaos {
-                let ingested = self.chaos_weeks.fetch_add(1, Ordering::SeqCst) + 1;
-                if ingested == chaos.after_weeks && chaos.before_checkpoint {
-                    eprintln!(
-                        "chaos: aborting before checkpoint of week {} (job {id})",
-                        i + 1
-                    );
-                    std::process::abort();
-                }
-                if let Err(e) = analyzer.checkpoint(&store) {
-                    return fail(format!("checkpoint write {}: {e}", dir.display()));
-                }
-                if ingested == chaos.after_weeks {
-                    eprintln!(
-                        "chaos: aborting after checkpoint of week {} (job {id})",
-                        i + 1
-                    );
-                    std::process::abort();
-                }
-            } else if let Err(e) = analyzer.checkpoint(&store) {
+            let week = delta.week + 1;
+            let kill = self.cfg.chaos.filter(|chaos| {
+                self.chaos_weeks.fetch_add(1, Ordering::SeqCst) + 1 == chaos.after_weeks
+            });
+            if kill.is_some_and(|chaos| chaos.before_checkpoint) {
+                eprintln!("chaos: aborting before checkpoint of week {week} (job {id})");
+                std::process::abort();
+            }
+            if let Err(e) = stream.checkpoint() {
                 return fail(format!("checkpoint write {}: {e}", dir.display()));
             }
-            let _ = lock.heartbeat();
+            if kill.is_some() {
+                eprintln!("chaos: aborting after checkpoint of week {week} (job {id})");
+                std::process::abort();
+            }
 
-            let live = Arc::new(analyzer.report().clone());
+            let live = Arc::new(stream.analyzer().report().clone());
             let mut state = self.state.lock().expect("supervisor poisoned");
             if let Some(entry) = state.jobs.get_mut(id) {
                 entry.report = Some(live);
                 entry.deltas.push(delta);
             }
             drop(state);
-            self.set_status(id, |s| s.weeks_done = analyzer.weeks());
+            self.set_status(id, |s| s.weeks_done = week);
         }
 
         // Finished: archive the report (atomically: a crash mid-write
         // leaves a tmp file, never a torn report.json) and surface
         // degraded runs as their own state.
-        let report = analyzer.report().clone();
-        let json = serde_json::to_string_pretty(&report).expect("report serializes");
-        if let Err(e) = write_atomic(&dir.join(REPORT_FILE), json.as_bytes()) {
-            return fail(format!("archiving report {}: {e}", dir.display()));
-        }
+        let (report, json) = match stream.finish() {
+            Ok((report, json)) => (report, json.expect("a job stream checkpoints")),
+            Err(e) => return fail(format!("archiving report {}: {e}", dir.display())),
+        };
         let final_state = if report.degraded.is_empty() {
             JobState::Done
         } else {

@@ -32,8 +32,9 @@ echo "==> memory trajectory (100k/1M streamed; 24 B/obs + 3.0x reduction gates)"
 cargo run --release -p retrodns-bench --bin experiments -- --max-obs 1000000 \
     --max-bytes-per-obs 24.0 --min-mem-reduction 3.0 mem
 
-echo "==> archetype matrix (7 archetypes x 3 seeds; full-recall + no-regression gates)"
+echo "==> archetype matrix (7 archetypes x 3 seeds; full-recall + no-regression gates; matrix unchanged)"
 cargo run --release -p retrodns-bench --bin experiments -- archetypes
+git diff --exit-code ARCHETYPES_matrix.json EXPERIMENTS.md
 
 echo "==> fault matrix (every cell survived and reconciled; matrix unchanged)"
 cargo run --release -p retrodns-bench --bin experiments -- faults

@@ -15,14 +15,14 @@
 //! adoption surface: swap the synthetic JSON for converted real data and
 //! the pipeline runs unchanged.
 
-use retrodns::core::durable::write_atomic;
+use retrodns::core::incremental::REPORT_FILE;
 use retrodns::core::inspect::InspectConfig;
 use retrodns::core::metrics::{CountingAlloc, MetricsRegistry};
 use retrodns::core::observability::span_summary;
 use retrodns::core::pipeline::{AnalystInputs, Pipeline, PipelineConfig, Report};
 use retrodns::core::report::{render_table2, render_table3, DomainInfo};
 use retrodns::core::score_detection;
-use retrodns::core::{week_batches, CheckpointStore, DirLock, IncrementalAnalyzer, SourcePolicy};
+use retrodns::core::{CheckpointStore, DirLock, SourcePolicy, StreamStart, WeeklyStream};
 use retrodns::scan::DomainObservation;
 use retrodns::serve::JobData;
 use retrodns::sim::{DomainMeta, SimConfig, World};
@@ -192,7 +192,7 @@ fn analyze(
     // processes interleaving weekly checkpoints would corrupt both. The
     // lock is PID+heartbeat based, so a SIGKILLed run goes stale and is
     // taken over rather than wedging the directory forever.
-    let _lock = match &ckpt {
+    let lock = match &ckpt {
         Some(opts) => Some(
             DirLock::acquire(&opts.dir)
                 .map_err(|e| format!("checkpoint dir {}: {e}", opts.dir.display()))?,
@@ -205,8 +205,7 @@ fn analyze(
             &pipeline,
             &observations,
             &inputs,
-            &ckpt,
-            _lock.as_ref(),
+            ckpt.as_ref().zip(lock.as_ref()),
             &mut metrics,
         )?
     } else {
@@ -293,23 +292,21 @@ fn analyze(
     Ok(())
 }
 
-/// `analyze --stream`: slice the observations into per-scan-date batches
-/// and feed them through an [`IncrementalAnalyzer`] oldest-first,
-/// narrating each week's verdict delta. With `--checkpoint-dir` the
-/// analyzer checkpoints after every week, and `--resume` picks the
-/// stream back up from the last completed week instead of restarting —
-/// the final report is byte-identical to the batch run either way.
+/// `analyze --stream`: feed the observations week by week through a
+/// [`WeeklyStream`], narrating each week's verdict delta. With
+/// `--checkpoint-dir` the stream checkpoints after every week, and
+/// `--resume` picks it back up from the last completed week instead of
+/// restarting — the final report is byte-identical to the batch run
+/// either way.
 fn stream_analyze(
     pipeline: &Pipeline,
     observations: &[DomainObservation],
     inputs: &AnalystInputs,
-    ckpt: &Option<CheckpointOpts>,
-    lock: Option<&DirLock>,
+    ckpt: Option<(&CheckpointOpts, &DirLock)>,
     metrics: &mut MetricsRegistry,
 ) -> Result<Report, String> {
-    let batches = week_batches(observations);
-    let store = match ckpt {
-        Some(opts) => {
+    let checkpoint = match ckpt {
+        Some((opts, lock)) => {
             let store = CheckpointStore::open(&opts.dir)
                 .map_err(|e| format!("checkpoint dir {}: {e}", opts.dir.display()))?;
             if !opts.resume {
@@ -317,41 +314,32 @@ fn stream_analyze(
                     .clear()
                     .map_err(|e| format!("clearing checkpoint dir {}: {e}", opts.dir.display()))?;
             }
-            Some(store)
+            Some((store, lock))
         }
         None => None,
     };
-    let resumable = ckpt.as_ref().is_some_and(|o| o.resume);
-    let resumed = store
-        .as_ref()
-        .filter(|_| resumable)
-        .and_then(|s| IncrementalAnalyzer::resume(pipeline.config.clone(), s));
-    let mut analyzer = match resumed {
-        Some(a) if a.holds_first_batches(&batches, inputs) => a,
-        Some(_) => {
-            eprintln!(
-                "warning: the checkpoint in {} was written over different data; \
-                 starting the stream afresh",
-                ckpt.as_ref().expect("resume implies ckpt").dir.display()
-            );
-            IncrementalAnalyzer::new(pipeline.config.clone())
+    let dir = || &ckpt.expect("a checkpoint outcome implies a store").0.dir;
+    let (mut stream, start) = WeeklyStream::open(
+        pipeline.config.clone(),
+        observations,
+        None,
+        inputs,
+        checkpoint,
+        metrics,
+    );
+    match start {
+        StreamStart::Resumed(weeks) => {
+            eprintln!("resumed from checkpoint: {weeks} weeks already ingested")
         }
-        None => IncrementalAnalyzer::new(pipeline.config.clone()),
-    };
-    if analyzer.weeks() > 0 {
-        eprintln!(
-            "resumed from checkpoint: {} weeks already ingested",
-            analyzer.weeks()
-        );
+        StreamStart::Refused => eprintln!(
+            "warning: the checkpoint in {} was written over different data; \
+             starting the stream afresh",
+            dir().display()
+        ),
+        StreamStart::Fresh => {}
     }
-    let total = batches.len();
-    for (i, batch) in batches.iter().enumerate() {
-        // Weeks a resumed analyzer has already seen are skipped; the
-        // per-date slicing is deterministic, so week i is week i again.
-        if (i as u32) < analyzer.weeks() {
-            continue;
-        }
-        let delta = analyzer.ingest_week_metered(batch, inputs, metrics);
+    let total = stream.weeks_total();
+    while let Some(delta) = stream.next_week(metrics) {
         if delta.has_verdict_changes() {
             eprintln!(
                 "week {:>3}/{} ({}): +{} hijacked -{} hijacked, +{} targeted -{} targeted",
@@ -364,36 +352,26 @@ fn stream_analyze(
                 delta.targeted_removed.len()
             );
         }
-        if let Some(s) = &store {
-            // An unwritable or vanished checkpoint dir mid-stream is an
-            // operational fault, not a bug: exit cleanly with the path
-            // and week so the operator knows exactly what was lost
-            // (everything up to the previous week is still durable).
-            analyzer.checkpoint(s).map_err(|e| {
-                let dir = &ckpt.as_ref().expect("store implies ckpt").dir;
-                format!(
-                    "checkpoint write failed at week {} in {}: {e} \
-                     (weeks 1..{} remain resumable with --resume)",
-                    i + 1,
-                    dir.display(),
-                    i.max(1)
-                )
-            })?;
-        }
-        if let Some(lock) = lock {
-            let _ = lock.heartbeat();
-        }
+        // An unwritable or vanished checkpoint dir mid-stream is an
+        // operational fault, not a bug: exit cleanly with the path and
+        // week so the operator knows exactly what was lost (everything
+        // up to the previous week is still durable).
+        stream.checkpoint().map_err(|e| {
+            let resumable = match delta.week {
+                0 => "no week is resumable".to_string(),
+                w => format!("weeks 1..{w} remain resumable with --resume"),
+            };
+            format!(
+                "checkpoint write failed at week {} in {}: {e} ({resumable})",
+                delta.week + 1,
+                dir().display()
+            )
+        })?;
     }
     eprintln!("streamed {total} weeks");
-    let report = analyzer.report().clone();
-    if let Some(opts) = ckpt {
-        // Archive the report beside the checkpoint: the artifact a
-        // resumed stream must reproduce byte-for-byte, so a kill mid-write
-        // must not tear it.
-        let json = serde_json::to_string_pretty(&report).expect("report serializes");
-        let path = opts.dir.join("report.json");
-        write_atomic(&path, json.as_bytes()).map_err(|e| format!("{}: {e}", path.display()))?;
-    }
+    let (report, _) = stream
+        .finish()
+        .map_err(|e| format!("{}: {e}", dir().join(REPORT_FILE).display()))?;
     Ok(report)
 }
 

@@ -630,3 +630,69 @@ fn analyze_stage_timings_list_the_recorded_spans() {
 
     let _ = std::fs::remove_dir_all(&base);
 }
+
+#[test]
+fn analyze_stream_resume_times_the_rebuild() {
+    let base = temp_dir("resume-timings");
+    let data = small_data(&base);
+    let ckpt = base.join("checkpoints");
+    let stream = |resume: bool| {
+        let mut cmd = bin();
+        cmd.args(["analyze", "--data"])
+            .arg(&data)
+            .arg("--stream")
+            .arg("--checkpoint-dir")
+            .arg(&ckpt);
+        if resume {
+            cmd.arg("--resume");
+        }
+        let out = cmd.output().expect("run analyze --stream");
+        assert!(
+            out.status.success(),
+            "{}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        stage_table(&String::from_utf8_lossy(&out.stdout))
+    };
+    stream(false);
+
+    // Every week is already ingested, so the resume's map rebuild and
+    // classify are the whole stream's work: they must show.
+    let table = stream(true);
+    let names: Vec<&str> = table.iter().map(|(n, _)| n.as_str()).collect();
+    assert_eq!(names, ["stage.map_build", "stage.classify"], "{table:?}");
+
+    let _ = std::fs::remove_dir_all(&base);
+}
+
+#[test]
+fn analyze_stream_first_checkpoint_failure_leaves_no_week_resumable() {
+    let base = temp_dir("first-ckpt-fails");
+    let data = small_data(&base);
+    let ckpt = base.join("checkpoints");
+    std::fs::create_dir_all(&ckpt).unwrap();
+    // A file where the log's parts directory belongs: the first
+    // checkpoint cannot be written, so nothing is ever committed.
+    std::fs::write(ckpt.join("observations"), b"").unwrap();
+
+    let out = bin()
+        .args(["analyze", "--data"])
+        .arg(&data)
+        .arg("--stream")
+        .arg("--checkpoint-dir")
+        .arg(&ckpt)
+        .arg("--resume")
+        .output()
+        .expect("run analyze");
+    assert!(!out.status.success(), "the failed checkpoint was ignored");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        stderr.contains("checkpoint write failed at week 1 "),
+        "{stderr}"
+    );
+    assert!(stderr.contains("no week is resumable"), "{stderr}");
+    assert!(!stderr.contains("remain resumable"), "{stderr}");
+    assert!(!ckpt.join("checkpoint.json").exists());
+
+    let _ = std::fs::remove_dir_all(&base);
+}

@@ -11,8 +11,8 @@ use retrodns::dns::PassiveDns;
 use retrodns::scan::DomainObservation;
 use retrodns::sim::{SimConfig, World};
 use retrodns::store::ObservationView;
-use retrodns::types::{Day, SourceFaults};
-use std::collections::{BTreeMap, HashMap};
+use retrodns::types::SourceFaults;
+use std::collections::HashMap;
 
 /// A small (`SimConfig::small`) world for the given seed.
 pub fn small_world(seed: u64) -> World {
@@ -164,14 +164,4 @@ pub fn world_up_to_week(seed: u64, n: usize) -> (World, Vec<DomainObservation>) 
         None => observations,
     };
     (world, kept)
-}
-
-/// Split observations into per-scan-date batches, ascending — the
-/// stream the incremental analyzer ingests one week at a time.
-pub fn week_slices(observations: &[DomainObservation]) -> Vec<Vec<DomainObservation>> {
-    let mut by_date: BTreeMap<Day, Vec<DomainObservation>> = BTreeMap::new();
-    for o in observations {
-        by_date.entry(o.date).or_default().push(o.clone());
-    }
-    by_date.into_values().collect()
 }

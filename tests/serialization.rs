@@ -333,7 +333,7 @@ fn every_derived_type_family_round_trips() {
     // restores the same report.
     let mut analyzer = IncrementalAnalyzer::new(config.clone());
     let inputs = common::inputs_for(&world, &observations);
-    for week in common::week_slices(&observations).iter().take(30) {
+    for week in retrodns::core::week_batches(&observations).iter().take(30) {
         let delta = analyzer.ingest_week(week, &inputs);
         stable("WeekDelta", &delta);
     }

@@ -10,10 +10,10 @@
 
 mod common;
 
-use common::{week_slices, world_up_to_week, InputsBuilder};
+use common::{world_up_to_week, InputsBuilder};
 use proptest::prelude::*;
 use retrodns::core::checkpoint::CheckpointStore;
-use retrodns::core::incremental::{IncrementalAnalyzer, WeekDelta};
+use retrodns::core::incremental::{week_batches, IncrementalAnalyzer, WeekDelta};
 use retrodns::core::pipeline::{AnalystInputs, Pipeline, PipelineConfig, Report};
 use retrodns::scan::DomainObservation;
 use retrodns::sim::{SourceFaultKind, SourceFaultPlan, World};
@@ -47,7 +47,7 @@ fn stream_weeks(
     let (report, deltas, _) = stream_batches(
         &inputs,
         &config_for(world, workers),
-        &week_slices(observations),
+        &week_batches(observations),
     );
     (report, deltas)
 }
@@ -169,7 +169,7 @@ fn streaming_matches_batch_at_every_worker_count() {
 #[test]
 fn kill_and_resume_between_every_week_is_invisible() {
     let (world, observations) = world_up_to_week(101, 130);
-    let mut batches = week_slices(&observations);
+    let mut batches = week_batches(&observations);
     // Splice in an empty batch and a batch whose every row quarantine
     // rejects (a copy of the next week, unrouted): both count as weeks,
     // neither moves `last_date`, and a resume must not lose either.
@@ -227,7 +227,7 @@ fn resume_under_source_faults_is_invisible() {
     let inputs = InputsBuilder::new(&world, &view)
         .source_faults(&faults)
         .build();
-    let batches = week_slices(&observations);
+    let batches = week_batches(&observations);
     // Two workers, so every resume rebuilds the maps in two shards.
     let config = config_for(&world, 2);
     let (streamed, stream_deltas, last_dates) = stream_batches(&inputs, &config, &batches);
@@ -327,7 +327,7 @@ proptest! {
         ));
         let _ = std::fs::remove_dir_all(&dir);
         let store = CheckpointStore::open(&dir).expect("open checkpoint dir");
-        for week in week_slices(&observations) {
+        for week in week_batches(&observations) {
             let mut analyzer = IncrementalAnalyzer::resume(config_for(&world, workers), &store)
                 .unwrap_or_else(|| IncrementalAnalyzer::new(config_for(&world, workers)));
             analyzer.ingest_week(&week, &inputs);
